@@ -18,13 +18,15 @@
      E14    tiered execution: bytecode machine vs compiled closure tier
      E15    rule dispatch: linear rule scan vs the head-indexed matcher
             of the declarative rule DSL (docs/RULES.md)
+     E18    front-end cost vs session history: a trivial eval and a
+            session restore after 0..800 definitions
 
-   Machine-readable results for E8/E10/E11/E12/E14/E15 are appended to
+   Machine-readable results for E8/E10/E11/E12/E14/E15/E18 are appended to
    BENCH_optimizer.json (override the path with TML_BENCH_JSON), with
    the run's metrics-registry snapshot as the final row.
 
    Set TML_BENCH_FAST=1 to skip the slowest benchmark (puzzle); run with
-   --smoke for the quick E11+E12 mode used by the @bench-smoke alias;
+   --smoke for the quick E11+E12+E15+E18 mode used by the @bench-smoke alias;
    pass --trace FILE to record the whole run as a Chrome trace. *)
 
 open Tml_core
@@ -233,7 +235,7 @@ let make_employees ctx n =
           Value.Int (3000 + (i * 137 mod 5000));
         |])
   in
-  Tml_query.Rel.create ctx ~name:"employees" rows
+  Tml_query.Rel.of_rows ctx ~name:"employees" (Tml_query.Rel.tuples ctx rows)
 
 let run_query ctx term bindings =
   let frees = Ident.Set.elements (Term.free_vars_app term) in
@@ -1065,6 +1067,95 @@ let e15 ~budget () =
     "{\"experiment\":\"E15\",\"metric\":\"reduce-pass\",\"linear_ns\":%.1f,\"indexed_ns\":%.1f,\"speedup\":%.2f}"
     lin idx (lin /. idx)
 
+(* ------------------------------------------------------------------ *)
+(* E18: front-end cost vs session history                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A session's front end checks each input against one persistent type
+   environment, and a restore checks each stored source once: a trivial
+   eval should cost the same after 800 definitions as after none, and a
+   restore should grow linearly with the number of definitions.  The
+   definitions mirror the long-session wire workload: Int functions,
+   about half of them calling the one defined before.  Each size reports
+   the median and quartiles of [reps] samples; an eval sample is the mean
+   of a batch of 200 evals (one eval is a few clock ticks).  The smoke run
+   fails when restore(800) / restore(400) exceeds 3x: linear growth
+   gives 2x, quadratic 4x. *)
+let e18 ~reps () =
+  section "E18 — front-end cost vs session history (trivial eval, restore)";
+  Runtime.install ();
+  let def i =
+    if i mod 2 = 0 then Printf.sprintf "let f%d(x: Int): Int = x + %d" i i
+    else Printf.sprintf "let f%d(x: Int): Int = f%d(x) * 2" i (i - 1)
+  in
+  let quartiles samples =
+    let a = Array.of_list samples in
+    Array.sort compare a;
+    let at q = a.(int_of_float (q *. float_of_int (Array.length a - 1))) in
+    at 0.25, at 0.5, at 0.75
+  in
+  let sample f =
+    let t0 = Unix.gettimeofday () in
+    f ();
+    Unix.gettimeofday () -. t0
+  in
+  Printf.printf "%6s  %28s  %28s\n" "defs" "eval us p50 [p25, p75]" "restore ms p50 [p25, p75]";
+  let rows =
+    List.map
+      (fun n ->
+        let s = Repl.create () in
+        for i = 0 to n - 1 do
+          ignore (Repl.feed s (def i))
+        done;
+        let eval () =
+          for _ = 1 to 200 do
+            ignore (Repl.feed s "1 + 1")
+          done
+        in
+        (* start every size from the same collector state: the previous
+           size's session is garbage by now *)
+        Gc.compact ();
+        eval ();
+        let e25, e50, e75 =
+          quartiles (List.init reps (fun _ -> sample eval *. 1e6 /. 200.))
+        in
+        let path = Filename.temp_file "tmlbench" ".store" in
+        let pstore = Pstore.attach ~fsync:false path (Repl.ctx s).Runtime.heap in
+        ignore (Repl.persist s pstore);
+        Pstore.close pstore;
+        let restore_ms () =
+          let ps = Pstore.open_ ~fsync:false path in
+          let ms = sample (fun () -> ignore (Repl.restore ps)) *. 1e3 in
+          Pstore.close ps;
+          ms
+        in
+        ignore (restore_ms ());
+        let r25, r50, r75 = quartiles (List.init reps (fun _ -> restore_ms ())) in
+        Sys.remove path;
+        Printf.printf "%6d  %10.1f [%6.1f, %6.1f]  %10.2f [%6.2f, %6.2f]\n%!" n e50 e25 e75
+          r50 r25 r75;
+        json_add
+          "{\"experiment\":\"E18\",\"defs\":%d,\"reps\":%d,\"eval_us_p25\":%.1f,\"eval_us_p50\":%.1f,\"eval_us_p75\":%.1f,\"restore_ms_p25\":%.3f,\"restore_ms_p50\":%.3f,\"restore_ms_p75\":%.3f}"
+          n reps e25 e50 e75 r25 r50 r75;
+        n, (e50, r50))
+      [ 0; 100; 400; 800 ]
+  in
+  Speccache.clear ();
+  Tml_analysis.Cache.clear ();
+  let eval_at n = fst (List.assoc n rows) and restore_at n = snd (List.assoc n rows) in
+  let eval_ratio = eval_at 800 /. eval_at 0 and restore_ratio = restore_at 800 /. restore_at 400 in
+  Printf.printf "eval(800) / eval(0) = %.2fx %s\n" eval_ratio
+    (if eval_ratio <= 1.2 then "(<= 1.2x: PASS)" else "(> 1.2x: FAIL, informational)");
+  Printf.printf "restore(800) / restore(400) = %.2fx %s\n" restore_ratio
+    (if restore_ratio <= 3.0 then "(<= 3x: PASS)" else "(> 3x: FAIL)");
+  json_add
+    "{\"experiment\":\"E18\",\"metric\":\"growth\",\"eval_800_over_0\":%.2f,\"restore_800_over_400\":%.2f}"
+    eval_ratio restore_ratio;
+  if restore_ratio > 3.0 then begin
+    Printf.printf "E18: session restore grows faster than linearly with history\n";
+    exit 1
+  end
+
 let e11 ~quick () =
   section
     (if quick then
@@ -1083,10 +1174,11 @@ let () =
     "TML benchmark harness — reproduction of Gawecki & Matthes, EDBT 1996\n\
      (abstract instruction counts are deterministic; wall times vary)\n";
   if smoke_mode then begin
-    Printf.printf "[smoke mode: E11 + E12 + E15 quick only]\n";
+    Printf.printf "[smoke mode: E11 + E12 + E15 + E18 quick only]\n";
     experiment "E11" (e11 ~quick:true);
     experiment "E12" (e12 ~budget:0.005);
     experiment "E15" (e15 ~budget:0.005);
+    experiment "E18" (e18 ~reps:7);
     write_json ()
   end
   else begin
@@ -1105,6 +1197,7 @@ let () =
     experiment "E12" (e12 ~budget:0.05);
     experiment "E14" e14;
     experiment "E15" (e15 ~budget:0.05);
+    experiment "E18" (e18 ~reps:15);
     write_json ();
     Printf.printf "\nAll experiments completed.\n"
   end

@@ -169,8 +169,8 @@ let bench_point_select () =
   Qprims.install ();
   let ctx = Runtime.create (Value.Heap.create ()) in
   let rel =
-    Rel.create ctx ~name:"events"
-      (List.init n_rows (fun i -> [| Value.Int i; Value.Int (i mod 97) |]))
+    Rel.of_rows ctx ~name:"events"
+      (Rel.tuples ctx (List.init n_rows (fun i -> [| Value.Int i; Value.Int (i mod 97) |])))
   in
   Rel.add_index ctx rel 0;
   let rng = Random.State.make [| 16; n_rows |] in
@@ -219,12 +219,14 @@ let bench_join_order () =
      is one-to-one.  Left-deep materializes |A|*|B| rows and probes each
      against C; right-deep probes C's index 10 times. *)
   let a =
-    Rel.create ctx ~name:"A" (List.init n_join (fun i -> [| Value.Int 7; Value.Int i |]))
+    Rel.of_rows ctx ~name:"A" (Rel.tuples ctx (List.init n_join (fun i -> [| Value.Int 7; Value.Int i |])))
   in
-  let b = Rel.create ctx ~name:"B" (List.init 10 (fun i -> [| Value.Int 7; Value.Int i |])) in
+  let b =
+    Rel.of_rows ctx ~name:"B" (Rel.tuples ctx (List.init 10 (fun i -> [| Value.Int 7; Value.Int i |])))
+  in
   let c =
-    Rel.create ctx ~name:"C"
-      (List.init 30 (fun i -> [| Value.Int i; Value.Int (1000 + i) |]))
+    Rel.of_rows ctx ~name:"C"
+      (Rel.tuples ctx (List.init 30 (fun i -> [| Value.Int i; Value.Int (1000 + i) |])))
   in
   Rel.add_index ctx b 0;
   Rel.add_index ctx b 1;
@@ -268,8 +270,8 @@ let bench_paging () =
         let ps = Pstore.create ~fsync:false path in
         let ctx = Runtime.create (Pstore.heap ps) in
         let rel =
-          Rel.create ctx ~name:"events"
-            (List.init n_paged (fun i -> [| Value.Int i; Value.Int (i mod 97) |]))
+          Rel.of_rows ctx ~name:"events"
+            (Rel.tuples ctx (List.init n_paged (fun i -> [| Value.Int i; Value.Int (i mod 97) |])))
         in
         Rel.add_index ctx rel 0;
         ignore (Pstore.commit ~root:rel ps);

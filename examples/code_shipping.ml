@@ -74,13 +74,13 @@ let server_receive (wire : wire_function) =
   let ctx = Runtime.create (Value.Heap.create ()) in
   Tml_query.Qprims.install ();
   let employees =
-    Tml_query.Rel.create ctx ~name:"employees"
-      (List.init 500 (fun i ->
+    Tml_query.Rel.of_rows ctx ~name:"employees"
+      (Tml_query.Rel.tuples ctx (List.init 500 (fun i ->
            [|
              Value.Int (i + 1);
              Value.Int (20 + (i * 7 mod 40));
              Value.Int (3000 + (i * 137 mod 5000));
-           |]))
+           |])))
   in
   (* the server maintains an index on the age field — a runtime binding the
      client could not have known about *)

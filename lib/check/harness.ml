@@ -151,8 +151,9 @@ let store_path () = Filename.temp_file "tmlfuzz" ".store"
 
 let store_setup (q : Tgen.query_case) ctx =
   let rel =
-    Tml_query.Rel.create ctx ~name:"t"
-      (List.map (fun row -> Array.of_list (List.map (fun x -> Value.Int x) row)) q.Tgen.rows)
+    Tml_query.Rel.of_rows ctx ~name:"t"
+      (Tml_query.Rel.tuples ctx
+         (List.map (fun row -> Array.of_list (List.map (fun x -> Value.Int x) row)) q.Tgen.rows))
   in
   let v = Eval.eval_value ctx ~env:Ident.Map.empty q.Tgen.qproc in
   ignore (Eval.run_proc ctx v [ Value.Oidv rel ])

@@ -252,10 +252,10 @@ let query_spec (c : Tgen.query_case) =
     Fun.protect
       ~finally:(fun () -> Tml_vm.Relcore.default_page_size := saved)
       (fun () ->
-        Tml_query.Rel.create ctx ~name:"t"
-          (List.map
+        Tml_query.Rel.of_rows ctx ~name:"t"
+          (Tml_query.Rel.tuples ctx (List.map
              (fun row -> Array.of_list (List.map (fun x -> Value.Int x) row))
-             c.Tgen.rows))
+             c.Tgen.rows)))
   in
   let rel_param =
     match c.Tgen.qproc with
@@ -326,10 +326,10 @@ let check_purity (q : Tgen.query_case) =
       let ctx = fresh_ctx () in
       let root =
         Value.Oidv
-          (Tml_query.Rel.create ctx ~name:"t"
-             (List.map
+          (Tml_query.Rel.of_rows ctx ~name:"t"
+             (Tml_query.Rel.tuples ctx (List.map
                 (fun row -> Array.of_list (List.map (fun x -> Value.Int x) row))
-                q.Tgen.rows))
+                q.Tgen.rows)))
       in
       let before = Canon.dump_reachable ctx [ root ] in
       match

@@ -15,11 +15,6 @@ let get ctx oid =
   | Some _ -> Runtime.fault "%s is not a relation" (Oid.to_string oid)
   | None -> Runtime.fault "dangling relation reference %s" (Oid.to_string oid)
 
-let of_rows ctx ~name row_oids =
-  incr relations_created;
-  let r = Relcore.of_array ctx.Runtime.heap name row_oids in
-  Value.Heap.alloc ctx.Runtime.heap (Value.Relation r)
-
 (* --- statistics ---------------------------------------------------- *)
 
 let get_stats_obj ctx (r : Value.relation) =
@@ -40,8 +35,10 @@ let get_index_obj ctx ixoid =
 
 (* Refresh the sibling stats object from the relation's current state
    (row count, tuple arity, per-indexed-field distinct counts). Called
-   on insert and mkindex; allocates the stats object on first need (the
-   caller re-[Heap.set]s the relation header afterwards either way). *)
+   at birth, on insert and on mkindex; allocates the stats object when
+   the relation has none — at birth, or for a relation stored before
+   relations carried stats from birth (the caller [Heap.set]s the
+   relation header afterwards either way). *)
 let refresh_stats ctx (r : Value.relation) ~arity_hint =
   let heap = ctx.Runtime.heap in
   let distinct =
@@ -70,35 +67,6 @@ let refresh_stats ctx (r : Value.relation) ~arity_hint =
     let soid = Value.Heap.alloc heap (Value.Stats st) in
     r.Value.rel_stats <- Some soid
 
-let create ctx ~name tuples =
-  let heap = ctx.Runtime.heap in
-  let rows =
-    Array.of_list
-      (List.map (fun fields -> Value.Oidv (Value.Heap.alloc heap (Value.Tuple fields))) tuples)
-  in
-  incr relations_created;
-  let r = Relcore.of_array heap name rows in
-  (* base relations carry a stats object from birth so the cost-based
-     planner has cardinalities before the first insert *)
-  let arity =
-    match tuples with
-    | first :: rest ->
-      let a = Array.length first in
-      if List.for_all (fun t -> Array.length t = a) rest then Some a else Some (-1)
-    | [] -> None
-  in
-  let st =
-    {
-      Value.st_count = r.Value.rel_count;
-      st_arity = (match arity with Some a -> a | None -> 0);
-      st_distinct = [];
-    }
-  in
-  incr stats_updates;
-  let soid = Value.Heap.alloc heap (Value.Stats st) in
-  r.Value.rel_stats <- Some soid;
-  Value.Heap.alloc heap (Value.Relation r)
-
 let row_tuple ctx row =
   match row with
   | Value.Oidv oid -> (
@@ -106,6 +74,31 @@ let row_tuple ctx row =
     | Some (Value.Tuple fields) -> fields
     | _ -> Runtime.fault "relation row %s is not a tuple" (Oid.to_string oid))
   | v -> Runtime.fault "relation row is not a reference: %s" (Value.type_name v)
+
+let tuples ctx fields =
+  Array.of_list
+    (List.map (fun f -> Value.Oidv (Value.Heap.alloc ctx.Runtime.heap (Value.Tuple f))) fields)
+
+(* tuple width shared by every row: 0 without rows, -1 when widths differ
+   or a row is not a tuple *)
+let arity ctx rows =
+  let width = function
+    | Value.Oidv o -> (
+      match Value.Heap.get_opt ctx.Runtime.heap o with
+      | Some (Value.Tuple fields) -> Array.length fields
+      | _ -> -1)
+    | _ -> -1
+  in
+  if Array.length rows = 0 then 0
+  else Array.fold_left (fun a row -> if width row = a then a else -1) (width rows.(0)) rows
+
+let of_rows ctx ~name rows =
+  incr relations_created;
+  let r = Relcore.of_array ctx.Runtime.heap name rows in
+  (* every relation carries a stats object from birth, so the cost-based
+     planner has cardinalities before the first insert *)
+  refresh_stats ctx r ~arity_hint:(Some (arity ctx rows));
+  Value.Heap.alloc ctx.Runtime.heap (Value.Relation r)
 
 (* --- paged row access ---------------------------------------------- *)
 

@@ -16,10 +16,14 @@
 
 open Tml_vm
 
-(** [create ctx ~name rows] allocates a relation whose rows are the given
-    tuples (each given as a value array; tuple objects are allocated).
-    Base relations carry a stats object from birth. *)
-val create : Runtime.ctx -> name:string -> Value.t array list -> Tml_core.Oid.t
+(** [of_rows ctx ~name rows] allocates a relation over existing rows,
+    each a reference to a [Tuple] store object (query results preserve
+    row identity).  Every relation carries a stats object from birth. *)
+val of_rows : Runtime.ctx -> name:string -> Value.t array -> Tml_core.Oid.t
+
+(** [tuples ctx fields] allocates one [Tuple] store object per field
+    array and returns the row references, for {!of_rows}. *)
+val tuples : Runtime.ctx -> Value.t array list -> Value.t array
 
 (** [get ctx oid] dereferences a relation.  @raise Runtime.Fault *)
 val get : Runtime.ctx -> Tml_core.Oid.t -> Value.relation
@@ -95,8 +99,9 @@ val lookup :
 (** {1 Statistics} *)
 
 (** [stats ctx rel] — the relation's cardinality statistics, if it has a
-    stats object (base relations always do; query intermediates gain one
-    on their first insert or [mkindex]). *)
+    stats object (every relation does, except in images written before
+    relations carried stats from birth, until their first insert or
+    [mkindex]). *)
 val stats : Runtime.ctx -> Tml_core.Oid.t -> Value.stats_obj option
 
 (** [card ctx rel] — exact current row count (O(1)). *)
@@ -105,10 +110,6 @@ val card : Runtime.ctx -> Tml_core.Oid.t -> int
 (** [distinct ctx rel field] — distinct-key count for an indexed field,
     from the stats object. *)
 val distinct : Runtime.ctx -> Tml_core.Oid.t -> int -> int option
-
-(** [of_rows ctx ~name row_oids] builds a relation from existing row OIDs
-    (used by [select] which preserves row identity). *)
-val of_rows : Runtime.ctx -> name:string -> Value.t array -> Tml_core.Oid.t
 
 (** {1 Counters} — surfaced through the [query] metrics source *)
 

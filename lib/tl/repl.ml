@@ -4,8 +4,7 @@ open Tml_vm
 type session = {
   sctx : Runtime.ctx;
   lower_env : Lower.env;
-  mutable accumulated : Ast.item list;  (* definitions only, in order *)
-  mutable lowered_count : int;          (* tdefs already lowered and linked *)
+  tenv : Typecheck.env;  (* types of the prelude and every definition in [src_log] *)
   globals : (string, Value.t) Hashtbl.t;
   mutable funcs : (string * Oid.t) list;  (* link order *)
   mutable expr_counter : int;
@@ -104,33 +103,57 @@ let link_batch session (defs : Lower.compiled_def list) =
     new_funcs;
   (* redefinition: existing callers must see the new binding *)
   if !redefined then relink_all session;
-  session.funcs <-
-    List.filter (fun (n, _) -> not (List.mem_assoc n new_funcs)) session.funcs @ new_funcs;
+  if new_funcs <> [] then
+    session.funcs <-
+      List.filter (fun (n, _) -> not (List.mem_assoc n new_funcs)) session.funcs @ new_funcs;
   List.map (fun (d : Lower.compiled_def) -> d.Lower.c_name) defs
 
-let drop n xs = List.filteri (fun i _ -> i >= n) xs
+(* The standard library's type environment and definitions, checked once
+   per process; every session extends its own copy. *)
+let prelude = lazy (Typecheck.of_prelude (Stdlib_tl.program ()))
 
-let process session (items : Ast.item list) =
+let fresh sctx =
   Tml_query.Qprims.install ();
-  let defs, actions =
-    List.partition
-      (function
-        | Ast.Imodule _ | Ast.Idef _ -> true
-        | Ast.Ido _ -> false)
-      items
+  {
+    sctx;
+    lower_env = Lower.env_create ~mode:Lower.Library;
+    tenv = Typecheck.copy (fst (Lazy.force prelude));
+    globals = Hashtbl.create 64;
+    funcs = [];
+    expr_counter = 0;
+    src_log = [];
+  }
+
+(* The front end shared by [feed] and [restore]: parse one input and check
+   its definitions, then its do-blocks, against the session's environment;
+   log the source if it defines anything. *)
+let check session src =
+  let items =
+    match Parser.parse_program src with
+    | items -> items
+    | exception Parser.Parse_error _ ->
+      (* bare-expression sugar: e  ==  do e end *)
+      [ Ast.Ido (Parser.parse_expr src) ]
   in
-  (* type-check everything ever defined plus this batch; only the batch's
-     definitions are new, and only its do-blocks form the main expression *)
-  let tprog =
-    Typecheck.check_with_prelude ~prelude:(Stdlib_tl.program ())
-      (session.accumulated @ defs @ actions)
+  let split items = List.partition (function Ast.Ido _ -> false | _ -> true) items in
+  let defs, actions = split items in
+  let history () =
+    List.concat_map (fun s -> fst (split (Parser.parse_program s))) (List.rev session.src_log)
   in
-  let new_tdefs = drop session.lowered_count tprog.Typecheck.tdefs in
-  let lowered = Lower.lower_defs session.lower_env new_tdefs in
-  (* commit *)
-  session.accumulated <- session.accumulated @ defs;
-  session.lowered_count <- List.length tprog.Typecheck.tdefs;
-  let defined = link_batch session lowered in
+  let tprog = Typecheck.extend session.tenv ~history (defs @ actions) in
+  if defs <> [] then session.src_log <- src :: session.src_log;
+  tprog
+
+let create () =
+  let session = fresh (Runtime.create (Value.Heap.create ())) in
+  ignore (link_batch session (Lower.lower_defs session.lower_env (snd (Lazy.force prelude))));
+  session
+
+let feed session src =
+  let out = session.sctx.Runtime.out in
+  Buffer.reset out;
+  let tprog = check session src in
+  let defined = link_batch session (Lower.lower_defs session.lower_env tprog.Typecheck.tdefs) in
   let result =
     match tprog.Typecheck.tmain with
     | None -> None
@@ -146,54 +169,18 @@ let process session (items : Ast.item list) =
       let outcome = Machine.run_proc session.sctx (Value.Oidv oid) [] in
       Some (outcome, session.sctx.Runtime.steps - before)
   in
-  defined, result
-
-let create ?(mode = Lower.Library) () =
-  Tml_query.Qprims.install ();
-  let session =
-    {
-      sctx = Runtime.create (Value.Heap.create ());
-      lower_env = Lower.env_create ~mode;
-      accumulated = [];
-      lowered_count = 0;
-      globals = Hashtbl.create 64;
-      funcs = [];
-      expr_counter = 0;
-      src_log = [];
-    }
-  in
-  (* compile and link the standard library *)
-  let defined, _ = process session [] in
-  ignore defined;
-  session
-
-let feed session src =
-  let items =
-    match Parser.parse_program src with
-    | items -> items
-    | exception Parser.Parse_error _ ->
-      (* bare-expression sugar: e  ==  do e end *)
-      let e = Parser.parse_expr src in
-      [ Ast.Ido e ]
-  in
-  let out_before = Buffer.length session.sctx.Runtime.out in
-  let defined, result = process session items in
-  if defined <> [] then session.src_log <- src :: session.src_log;
-  let full = Buffer.contents session.sctx.Runtime.out in
-  let output = String.sub full out_before (String.length full - out_before) in
-  (* standard-library names were linked by [create]; don't echo them *)
-  { defined; result; output }
+  { defined; result; output = Buffer.contents out }
 
 (* ------------------------------------------------------------------ *)
 (* Durable sessions                                                     *)
 (*                                                                      *)
 (* A session persists as a manifest module (the store root) referring   *)
 (* to three vectors: the definition sources fed so far, the global      *)
-(* bindings and the linked-function table.  [restore] replays the       *)
-(* sources through the type checker and the lowering environment only — *)
-(* no code is linked, no initializer runs, no object is allocated — and *)
-(* then installs globals and functions from the manifest, so the        *)
-(* persisted objects are faulted in lazily on first use.                *)
+(* bindings and the linked-function table.  [restore] checks each       *)
+(* source once to regrow the type environment — nothing is lowered or   *)
+(* linked, no initializer runs, no object is allocated — and then       *)
+(* installs globals and functions from the manifest, so the persisted   *)
+(* objects are faulted in lazily on first use.                          *)
 (* ------------------------------------------------------------------ *)
 
 let manifest_name = "#session"
@@ -291,28 +278,7 @@ let persist session pstore =
   let root = stage session pstore in
   Pstore.commit ~root pstore
 
-(* Replay one definition source: type-check it against everything replayed
-   so far and lower it, purely to regrow the incremental environments. *)
-let replay_defs session src =
-  let items = Parser.parse_program src in
-  let defs =
-    List.filter
-      (function
-        | Ast.Imodule _ | Ast.Idef _ -> true
-        | Ast.Ido _ -> false)
-      items
-  in
-  let tprog =
-    Typecheck.check_with_prelude ~prelude:(Stdlib_tl.program ()) (session.accumulated @ defs)
-  in
-  let new_tdefs = drop session.lowered_count tprog.Typecheck.tdefs in
-  ignore (Lower.lower_defs session.lower_env new_tdefs);
-  session.accumulated <- session.accumulated @ defs;
-  session.lowered_count <- List.length tprog.Typecheck.tdefs;
-  session.src_log <- src :: session.src_log
-
-let restore ?(mode = Lower.Library) ?(preserve_caches = false) pstore =
-  Tml_query.Qprims.install ();
+let restore ?(preserve_caches = false) pstore =
   (* a restored store brings its own OID space: per-OID analysis summaries
      and cached specializations from any previously open heap would be
      stale.  A server restoring many sessions over ONE shared store keeps
@@ -323,23 +289,7 @@ let restore ?(mode = Lower.Library) ?(preserve_caches = false) pstore =
     Speccache.clear ()
   end;
   let heap = Pstore.heap pstore in
-  let session =
-    {
-      sctx = Runtime.create heap;
-      lower_env = Lower.env_create ~mode;
-      accumulated = [];
-      lowered_count = 0;
-      globals = Hashtbl.create 64;
-      funcs = [];
-      expr_counter = 0;
-      src_log = [];
-    }
-  in
-  (* regrow the standard library's type and lowering environments; its
-     linked objects come back from the store like everything else *)
-  let tprog = Typecheck.check_with_prelude ~prelude:(Stdlib_tl.program ()) [] in
-  ignore (Lower.lower_defs session.lower_env tprog.Typecheck.tdefs);
-  session.lowered_count <- List.length tprog.Typecheck.tdefs;
+  let session = fresh (Runtime.create heap) in
   let moid =
     match Pstore.root pstore with
     | Some moid -> moid
@@ -360,7 +310,7 @@ let restore ?(mode = Lower.Library) ?(preserve_caches = false) pstore =
   in
   Array.iter
     (function
-      | Value.Str src -> replay_defs session src
+      | Value.Str src -> ignore (check session src)
       | v -> Runtime.fault "corrupt session manifest: source %s" (Value.to_string v))
     (vec "#sources");
   let pairs key f =
@@ -387,7 +337,7 @@ let restore ?(mode = Lower.Library) ?(preserve_caches = false) pstore =
      cache existed simply lack the entry, and a damaged image costs only
      re-optimization, never the session.  When preserving shared caches,
      the in-memory cache is already the freshest view — decoding the
-     stored copy would roll back entries accumulated since the last
+     stored copy would roll back entries gathered since the last
      persist. *)
   if not preserve_caches then
     (match Array.find_opt (fun (k, _) -> String.equal k "#speccache") m.Value.exports with

@@ -17,9 +17,9 @@ open Tml_vm
 
 type session
 
-(** [create ?mode ()] starts a session with the TL standard library
-    compiled and linked. *)
-val create : ?mode:Lower.mode -> unit -> session
+(** [create ()] starts a session with the TL standard library compiled
+    and linked.  Sessions lower in [Lower.Library] mode. *)
+val create : unit -> session
 
 val ctx : session -> Runtime.ctx
 
@@ -43,7 +43,11 @@ type feed_result = {
 
 (** [feed session src] processes one input: top-level definitions and/or
     [do] blocks; a bare expression [e] is accepted as sugar for
-    [do e end].
+    [do e end].  Only the new input is type-checked, unless it changes a
+    signature earlier definitions were checked against (a function's
+    type, a module's members): then every definition fed so far is
+    checked again with it, so an input that would break an existing
+    caller is rejected and leaves the session unchanged.
     @raise Lexer.Lex_error, Parser.Parse_error, Typecheck.Type_error,
     Runtime.Fault *)
 val feed : session -> string -> feed_result
@@ -71,13 +75,13 @@ val persist : session -> Pstore.t -> int
     this way and hands the batch to its group committer. *)
 val stage : session -> Pstore.t -> Tml_core.Oid.t
 
-(** [restore pstore] rebuilds a session from the store's manifest:
-    sources are replayed through the type checker and the lowering
-    environment only — nothing is linked, no initializer re-runs, and no
-    object is decoded until first use.  [preserve_caches] (default
+(** [restore pstore] rebuilds a session from the store's manifest: each
+    source is type-checked once, as {!feed} checks it, to regrow the
+    session's type environment — nothing is lowered or linked, no
+    initializer re-runs, and no object is decoded until first use.  [preserve_caches] (default
     [false]) keeps the process-wide specialization and analysis caches
     instead of clearing and reloading them — server sessions over one
     shared store pass [true] so warm specializations serve every
     connection.
     @raise Runtime.Fault if the store has no session manifest *)
-val restore : ?mode:Lower.mode -> ?preserve_caches:bool -> Pstore.t -> session
+val restore : ?preserve_caches:bool -> Pstore.t -> session

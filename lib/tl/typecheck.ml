@@ -111,6 +111,9 @@ type scope = {
 type genv = {
   modules : (string, (string * ty) list ref) Hashtbl.t;
   globals : (string, ty) Hashtbl.t;  (* canonical name -> type *)
+  declared : (string, ty) Hashtbl.t;
+      (* the prelude's globals overlaid with each top-level function's
+         last signature: what every earlier item was checked against *)
   mutable allow_any : bool;
   mutable current_module : string option;
 }
@@ -538,7 +541,8 @@ let collect_signatures genv items =
           defs;
         Hashtbl.replace genv.modules m members
       | Idef (Dfun { name; params; ret; _ }) ->
-        Hashtbl.replace genv.globals name (fun_ty params ret)
+        Hashtbl.replace genv.globals name (fun_ty params ret);
+        Hashtbl.replace genv.declared name (fun_ty params ret)
       | Idef (Dval _) | Ido _ -> ())
     items
 
@@ -570,33 +574,9 @@ let check_def genv (def : def) : tdef =
     { d_name = canonical genv name; d_params = []; d_ret = vty; d_body = tbody;
       d_is_fun = false }
 
-let check_items genv items : tdef list * texpr list =
-  collect_signatures genv items;
-  let defs = ref [] in
-  let mains = ref [] in
-  List.iter
-    (fun item ->
-      match item with
-      | Imodule (m, mdefs) ->
-        genv.current_module <- Some m;
-        List.iter (fun d -> defs := check_def genv d :: !defs) mdefs;
-        genv.current_module <- None
-      | Idef d ->
-        (match d with
-        | Dval { name; _ } when Hashtbl.mem genv.globals name ->
-          (* allow forward-collected functions only *)
-          ()
-        | _ -> ());
-        defs := check_def genv d :: !defs
-      | Ido e ->
-        let scope = { vars = [] } in
-        mains := infer genv scope e :: !mains)
-    items;
-  List.rev !defs, List.rev !mains
-
 let fresh_genv allow_any =
-  { modules = Hashtbl.create 16; globals = Hashtbl.create 32; allow_any;
-    current_module = None }
+  { modules = Hashtbl.create 16; globals = Hashtbl.create 32; declared = Hashtbl.create 32;
+    allow_any; current_module = None }
 
 let combine_mains = function
   | [] -> None
@@ -607,15 +587,83 @@ let combine_mains = function
          (fun acc e -> { tdesc = Tseq (acc, e); tty = e.tty; tpos = e.tpos })
          m rest)
 
-let check ?(allow_any = false) program =
-  let genv = fresh_genv allow_any in
-  let tdefs, mains = check_items genv program in
-  { tdefs; tmain = combine_mains mains }
+(* Check [items] after [history] as one program: every function signature
+   of both is visible from the start.  Only [items]' definitions and
+   do-blocks are returned. *)
+let check_items ?(history = []) genv items =
+  collect_signatures genv (history @ items);
+  let check_item = function
+    | Imodule (m, mdefs) ->
+      genv.current_module <- Some m;
+      let tdefs = List.map (check_def genv) mdefs in
+      genv.current_module <- None;
+      tdefs, []
+    | Idef d -> [ check_def genv d ], []
+    | Ido e -> [], [ infer genv { vars = [] } e ]
+  in
+  List.iter (fun item -> ignore (check_item item)) history;
+  let tdefs, mains = List.split (List.map check_item items) in
+  { tdefs = List.concat tdefs; tmain = combine_mains (List.concat mains) }
+
+let check ?(allow_any = false) program = check_items (fresh_genv allow_any) program
+
+(* ------------------------------------------------------------------ *)
+(* Incremental checking                                                 *)
+(* ------------------------------------------------------------------ *)
+
+type env = {
+  mutable g : genv;
+  base : genv;  (* the checked prelude; shared between copies, never written *)
+}
+
+let copy_genv g =
+  let modules = Hashtbl.create (Hashtbl.length g.modules) in
+  Hashtbl.iter (fun m members -> Hashtbl.replace modules m (ref !members)) g.modules;
+  { g with modules; globals = Hashtbl.copy g.globals; declared = Hashtbl.copy g.declared }
+
+let copy env = { env with g = copy_genv env.g }
+
+let of_prelude prelude =
+  let base = fresh_genv true in
+  let p = check_items base prelude in
+  if p.tmain <> None then invalid_arg "Typecheck.of_prelude: prelude has do-blocks";
+  base.allow_any <- false;
+  Hashtbl.iter (Hashtbl.replace base.declared) base.globals;
+  { g = copy_genv base; base }, p.tdefs
+
+(* Whether [items] could change how an earlier item checks: a module is
+   redefined, a function's signature differs from what its name was
+   declared or bound as, or a new function shadows a builtin. *)
+let redeclares g items =
+  List.exists
+    (function
+      | Imodule (m, _) -> Hashtbl.mem g.modules m
+      | Idef (Dfun { name; params; ret; _ }) ->
+        let differs tbl =
+          Option.fold ~none:false ~some:(( <> ) (fun_ty params ret)) (Hashtbl.find_opt tbl name)
+        in
+        differs g.globals || differs g.declared
+        || ((not (Hashtbl.mem g.declared name)) && builtin_of_name name <> None)
+      | Idef (Dval _) | Ido _ -> false)
+    items
+
+let extend env ~history items =
+  let rebuild ?history items =
+    let g = copy_genv env.base in
+    let checked = check_items ?history g items in
+    env.g <- g;
+    checked
+  in
+  if redeclares env.g items then rebuild ~history:(history ()) items
+  else
+    try check_items env.g items
+    with e ->
+      (* a failed check may have bound some of [items]' names: rebuild *)
+      if List.exists (function Ido _ -> false | _ -> true) items then
+        ignore (rebuild (history ()));
+      raise e
 
 let check_with_prelude ~prelude program =
-  let genv = fresh_genv true in
-  let predefs, premains = check_items genv prelude in
-  if premains <> [] then invalid_arg "Typecheck.check_with_prelude: prelude has do-blocks";
-  genv.allow_any <- false;
-  let tdefs, mains = check_items genv program in
-  { tdefs = predefs @ tdefs; tmain = combine_mains mains }
+  let env, predefs = of_prelude prelude in
+  let tprog = extend env ~history:(fun () -> []) program in
+  { tprog with tdefs = predefs @ tprog.tdefs }

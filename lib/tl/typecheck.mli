@@ -98,3 +98,30 @@ val check : ?allow_any:bool -> program -> tprogram
     allowed) followed by [program] (without), sharing one global scope —
     how the standard library is injected. *)
 val check_with_prelude : prelude:program -> program -> tprogram
+
+(** {1 Incremental checking}
+
+    An interactive session checks each input against one persistent
+    environment instead of re-checking everything it has seen. *)
+
+type env
+
+(** [of_prelude prelude] checks [prelude] as {!check_with_prelude} does and
+    returns the resulting environment with the prelude's definitions. *)
+val of_prelude : program -> env * tdef list
+
+(** [copy env] — an independent copy; extending it leaves [env] as it
+    is. *)
+val copy : env -> env
+
+(** [extend env ~history items] checks [items] against [env] and adds
+    their definitions to it, returning only [items]' definitions and
+    main expression.  The verdict and the resulting environment are
+    those of checking the prelude followed by [history () @ items] in one
+    go, where [history ()] returns the definitions [env] was extended
+    with so far, in order: when [items] could change how an earlier
+    definition checks (a redefined module, a changed function signature),
+    [history] is re-checked with them; otherwise only [items] are.
+    On {!Type_error} [env] is unchanged.
+    @raise Type_error *)
+val extend : env -> history:(unit -> program) -> program -> tprogram

@@ -33,7 +33,7 @@ let stage1 path =
   let ps = Pstore.create ~fsync:false path in
   let ctx = Runtime.create (Pstore.heap ps) in
   let rows = List.init 22 (fun i -> [| Value.Int i; Value.Int (i mod 5) |]) in
-  let rel = Rel.create ctx ~name:"events" rows in
+  let rel = Rel.of_rows ctx ~name:"events" (Rel.tuples ctx rows) in
   Rel.add_index ctx rel 1;
   ignore (Pstore.commit ~root:rel ps);
   let r = Rel.get ctx rel in

@@ -214,8 +214,8 @@ let test_obj_relation () =
   let heap = Value.Heap.create () in
   let ctx = Runtime.create heap in
   let oid =
-    Tml_query.Rel.create ctx ~name:"t"
-      [ [| Value.Int 1; Value.Int 2 |]; [| Value.Int 3; Value.Int 4 |] ]
+    Tml_query.Rel.of_rows ctx ~name:"t"
+      (Tml_query.Rel.tuples ctx [ [| Value.Int 1; Value.Int 2 |]; [| Value.Int 3; Value.Int 4 |] ])
   in
   Tml_query.Rel.add_index ctx oid 0;
   (* the relation header round-trips with its page/index/stats references

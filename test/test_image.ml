@@ -78,12 +78,12 @@ let test_relation_index_rebuilt () =
   let heap = Value.Heap.create () in
   let ctx = Runtime.create heap in
   let rel =
-    Tml_query.Rel.create ctx ~name:"r"
-      [
+    Tml_query.Rel.of_rows ctx ~name:"r"
+      (Tml_query.Rel.tuples ctx [
         [| Value.Int 1; Value.Str "a" |];
         [| Value.Int 2; Value.Str "b" |];
         [| Value.Int 2; Value.Str "c" |];
-      ]
+      ])
   in
   Tml_query.Rel.add_index ctx rel 0;
   let heap' = Image.load (Image.save heap) in
@@ -95,7 +95,7 @@ let test_relation_index_rebuilt () =
 let test_triggers_persist () =
   let heap = Value.Heap.create () in
   let ctx = Runtime.create heap in
-  let rel = Tml_query.Rel.create ctx ~name:"r" [ [| Value.Int 1 |] ] in
+  let rel = Tml_query.Rel.of_rows ctx ~name:"r" (Tml_query.Rel.tuples ctx [ [| Value.Int 1 |] ]) in
   let trigger =
     Value.Heap.alloc_func heap ~name:"t"
       (Sexp.parse_value "proc(row tce! tcc!) (tcc! nil)")

@@ -189,8 +189,9 @@ let run_rel_query c term_src ~rewrite =
   let heap = Value.Heap.create () in
   let ctx = Runtime.create ~fuel:3_000_000 heap in
   let rel =
-    Tml_query.Rel.create ctx ~name:"r"
-      (List.map (fun (a, b, d) -> [| Value.Int a; Value.Int b; Value.Int d |]) c.rows)
+    Tml_query.Rel.of_rows ctx ~name:"r"
+      (Tml_query.Rel.tuples ctx
+         (List.map (fun (a, b, d) -> [| Value.Int a; Value.Int b; Value.Int d |]) c.rows))
   in
   let term = Sexp.parse_app term_src in
   let term =

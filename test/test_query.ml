@@ -24,7 +24,7 @@ let employee_rows =
 
 let with_employees f =
   let ctx = fresh_ctx () in
-  let rel = Rel.create ctx ~name:"employees" employee_rows in
+  let rel = Rel.of_rows ctx ~name:"employees" (Rel.tuples ctx employee_rows) in
   f ctx rel
 
 (* Run a TML application whose free identifiers are bound by [bindings]. *)
@@ -71,7 +71,8 @@ let test_rel_paging () =
     (fun () ->
       let ctx = fresh_ctx () in
       let rel =
-        Rel.create ctx ~name:"big" (List.init 22 (fun i -> [| Value.Int i; Value.Int (i * i) |]))
+        Rel.of_rows ctx ~name:"big"
+          (Rel.tuples ctx (List.init 22 (fun i -> [| Value.Int i; Value.Int (i * i) |])))
       in
       let r = Rel.get ctx rel in
       check tint "22 rows" 22 (Rel.length ctx rel);
@@ -180,8 +181,8 @@ let test_prim_project () =
 
 let test_prim_join () =
   let ctx = fresh_ctx () in
-  let r1 = Rel.create ctx ~name:"a" [ [| Value.Int 1 |]; [| Value.Int 2 |] ] in
-  let r2 = Rel.create ctx ~name:"b" [ [| Value.Int 2 |]; [| Value.Int 3 |] ] in
+  let r1 = Rel.of_rows ctx ~name:"a" (Rel.tuples ctx [ [| Value.Int 1 |]; [| Value.Int 2 |] ]) in
+  let r2 = Rel.of_rows ctx ~name:"b" (Rel.tuples ctx [ [| Value.Int 2 |]; [| Value.Int 3 |] ]) in
   let outcome =
     run_tml ctx
       [ "r1", Value.Oidv r1; "r2", Value.Oidv r2 ]
@@ -248,9 +249,9 @@ let test_prim_indexselect () =
 let test_prim_set_ops () =
   let ctx = fresh_ctx () in
   let r1 =
-    Rel.create ctx ~name:"a" [ [| Value.Int 1 |]; [| Value.Int 2 |]; [| Value.Int 2 |] ]
+    Rel.of_rows ctx ~name:"a" (Rel.tuples ctx [ [| Value.Int 1 |]; [| Value.Int 2 |]; [| Value.Int 2 |] ])
   in
-  let r2 = Rel.create ctx ~name:"b" [ [| Value.Int 2 |]; [| Value.Int 3 |] ] in
+  let r2 = Rel.of_rows ctx ~name:"b" (Rel.tuples ctx [ [| Value.Int 2 |]; [| Value.Int 3 |] ]) in
   let bindings = [ "r1", Value.Oidv r1; "r2", Value.Oidv r2 ] in
   let count_of src =
     match run_tml ctx bindings src with
@@ -266,8 +267,8 @@ let test_prim_set_ops () =
 
 let test_triggers () =
   let ctx = fresh_ctx () in
-  let log = Rel.create ctx ~name:"audit" [] in
-  let data = Rel.create ctx ~name:"data" [] in
+  let log = Rel.of_rows ctx ~name:"audit" [||] in
+  let data = Rel.of_rows ctx ~name:"data" [||] in
   (* the trigger copies every inserted tuple's first field into the audit
      relation, doubled *)
   let trigger_src =
@@ -332,7 +333,7 @@ let test_prim_aggregates () =
       | Eval.Done (Value.Int 8000) -> ()
       | o -> Alcotest.failf "maxagg: %a" Eval.pp_outcome o);
       (* empty relation raises *)
-      let empty_rel = Rel.create ctx ~name:"none" [] in
+      let empty_rel = Rel.of_rows ctx ~name:"none" [||] in
       match
         run_tml ctx
           [ "r", Value.Oidv empty_rel ]
@@ -546,8 +547,8 @@ let test_select_union_rule () =
   check tint "selection distributed over union" 2 (count_prim "select" a');
   (* behaviour preserved *)
   let ctx = fresh_ctx () in
-  let r1 = Rel.create ctx ~name:"a" [ [| Value.Int 1 |]; [| Value.Int 2 |] ] in
-  let r2 = Rel.create ctx ~name:"b" [ [| Value.Int 1 |]; [| Value.Int 3 |] ] in
+  let r1 = Rel.of_rows ctx ~name:"a" (Rel.tuples ctx [ [| Value.Int 1 |]; [| Value.Int 2 |] ]) in
+  let r2 = Rel.of_rows ctx ~name:"b" (Rel.tuples ctx [ [| Value.Int 1 |]; [| Value.Int 3 |] ]) in
   let wrap term =
     let frees = Ident.Set.elements (Term.free_vars_app term) in
     let env =
@@ -662,14 +663,14 @@ let rows_equal ctx name r1 r2 =
 let test_prim_idxjoin () =
   let ctx = fresh_ctx () in
   let r1 =
-    Rel.create ctx ~name:"a"
-      [ [| Value.Int 1; Value.Int 10 |]; [| Value.Int 2; Value.Int 20 |];
-        [| Value.Int 2; Value.Int 21 |] ]
+    Rel.of_rows ctx ~name:"a"
+      (Rel.tuples ctx [ [| Value.Int 1; Value.Int 10 |]; [| Value.Int 2; Value.Int 20 |];
+        [| Value.Int 2; Value.Int 21 |] ])
   in
   let r2 =
-    Rel.create ctx ~name:"b"
-      [ [| Value.Int 2; Value.Int 200 |]; [| Value.Int 3; Value.Int 300 |];
-        [| Value.Int 2; Value.Int 201 |] ]
+    Rel.of_rows ctx ~name:"b"
+      (Rel.tuples ctx [ [| Value.Int 2; Value.Int 200 |]; [| Value.Int 3; Value.Int 300 |];
+        [| Value.Int 2; Value.Int 201 |] ])
   in
   let bindings = [ "r1", Value.Oidv r1; "r2", Value.Oidv r2 ] in
   let naive_src =
@@ -700,8 +701,8 @@ let test_join_field_eq_recognition () =
 
 let test_index_join_runtime () =
   let ctx = fresh_ctx () in
-  let r1 = Rel.create ctx ~name:"a" [ [| Value.Int 1 |] ] in
-  let r2 = Rel.create ctx ~name:"b" [ [| Value.Int 1 |] ] in
+  let r1 = Rel.of_rows ctx ~name:"a" (Rel.tuples ctx [ [| Value.Int 1 |] ]) in
+  let r2 = Rel.of_rows ctx ~name:"b" (Rel.tuples ctx [ [| Value.Int 1 |] ]) in
   ignore r1;
   let src =
     Printf.sprintf "(join %s r1 <oid %d> ce! k!)" (join_pred ~f1:0 ~f2:0) (Oid.to_int r2)
@@ -720,13 +721,14 @@ let test_index_join_runtime () =
    A ⋈ B explodes (every key equal), B ⋈ C is selective (unique keys). *)
 let mk_join_order_fixture ctx =
   let a =
-    Rel.create ctx ~name:"A" (List.init 40 (fun i -> [| Value.Int 7; Value.Int i |]))
+    Rel.of_rows ctx ~name:"A" (Rel.tuples ctx (List.init 40 (fun i -> [| Value.Int 7; Value.Int i |])))
   in
   let b =
-    Rel.create ctx ~name:"B" (List.init 10 (fun i -> [| Value.Int 7; Value.Int i |]))
+    Rel.of_rows ctx ~name:"B" (Rel.tuples ctx (List.init 10 (fun i -> [| Value.Int 7; Value.Int i |])))
   in
   let c =
-    Rel.create ctx ~name:"C" (List.init 10 (fun i -> [| Value.Int i; Value.Int (1000 + i) |]))
+    Rel.of_rows ctx ~name:"C"
+      (Rel.tuples ctx (List.init 10 (fun i -> [| Value.Int i; Value.Int (1000 + i) |])))
   in
   Rel.add_index ctx b 0;
   Rel.add_index ctx b 1;
@@ -777,9 +779,9 @@ let test_join_order_runtime () =
   (* without the enabling statistics (no indexes, distinct unknown) the
      cost model sees no advantage and leaves the order alone *)
   let ctx2 = fresh_ctx () in
-  let a2 = Rel.create ctx2 ~name:"A" (List.init 4 (fun i -> [| Value.Int i; Value.Int i |])) in
-  let b2 = Rel.create ctx2 ~name:"B" (List.init 4 (fun i -> [| Value.Int i; Value.Int i |])) in
-  let c2 = Rel.create ctx2 ~name:"C" (List.init 4 (fun i -> [| Value.Int i; Value.Int i |])) in
+  let a2 = Rel.of_rows ctx2 ~name:"A" (Rel.tuples ctx2 (List.init 4 (fun i -> [| Value.Int i; Value.Int i |]))) in
+  let b2 = Rel.of_rows ctx2 ~name:"B" (Rel.tuples ctx2 (List.init 4 (fun i -> [| Value.Int i; Value.Int i |]))) in
+  let c2 = Rel.of_rows ctx2 ~name:"C" (Rel.tuples ctx2 (List.init 4 (fun i -> [| Value.Int i; Value.Int i |]))) in
   let term2 = Sexp.parse_app (join_chain_src ~a:a2 ~b:b2 ~c:c2) in
   let planned2 = Rewrite.reduce_app ~rules:(Qopt.runtime_rules ctx2) term2 in
   check tint "no stats advantage, order kept" 2 (count_prim "join" planned2)
@@ -787,7 +789,7 @@ let test_join_order_runtime () =
 let test_query_metrics_source () =
   let ctx = fresh_ctx () in
   Qprims.reset_query_counters ();
-  let rel = Rel.create ctx ~name:"m" [ [| Value.Int 1 |] ] in
+  let rel = Rel.of_rows ctx ~name:"m" (Rel.tuples ctx [ [| Value.Int 1 |] ]) in
   Rel.add_index ctx rel 0;
   ignore (Rel.lookup ctx rel ~field:0 (Literal.Int 1));
   let counters = Qprims.query_counters () in
@@ -830,7 +832,7 @@ let prop_indexselect_equiv_scan =
     (fun (rows, field, key) ->
       with_page_size 3 (fun () ->
           let ctx = fresh_ctx () in
-          let rel = Rel.create ctx ~name:"p" rows in
+          let rel = Rel.of_rows ctx ~name:"p" (Rel.tuples ctx rows) in
           Rel.add_index ctx rel field;
           let bindings = [ "r", Value.Oidv rel ] in
           let scan =
@@ -853,9 +855,9 @@ let prop_planned_join_equiv_naive =
     (fun (rows_a, rows_b, (rows_c, ixmask, g_b)) ->
       with_page_size 3 (fun () ->
           let ctx = fresh_ctx () in
-          let a = Rel.create ctx ~name:"A" rows_a in
-          let b = Rel.create ctx ~name:"B" rows_b in
-          let c = Rel.create ctx ~name:"C" rows_c in
+          let a = Rel.of_rows ctx ~name:"A" (Rel.tuples ctx rows_a) in
+          let b = Rel.of_rows ctx ~name:"B" (Rel.tuples ctx rows_b) in
+          let c = Rel.of_rows ctx ~name:"C" (Rel.tuples ctx rows_c) in
           if ixmask land 1 <> 0 then Rel.add_index ctx b 0;
           if ixmask land 2 <> 0 then Rel.add_index ctx c 0;
           Rel.add_index ctx b (1 - g_b);

@@ -47,10 +47,130 @@ let test_redefinition_relinks () =
   let s = Repl.create () in
   ignore (Repl.feed s "let f(x: Int): Int = x + 1");
   ignore (Repl.feed s "let g(x: Int): Int = f(x) * 10");
+  ignore (Repl.feed s "let h(x: Int): Int = g(x) + f(x)");
   expect_value s "g(1)" (Value.Int 20);
-  (* redefining f must be visible through the existing g *)
+  (* redefining f must be visible through the existing g, and through h
+     both directly and via g *)
+  let r = Repl.feed s "let f(x: Int): Int = x + 2" in
+  check Alcotest.(list string) "redefined" [ "f" ] r.Repl.defined;
+  expect_value s "g(1)" (Value.Int 30);
+  expect_value s "h(1)" (Value.Int 33);
+  (* a second redefinition relinks again, and later definitions see it *)
+  ignore (Repl.feed s "let f(x: Int): Int = x");
+  ignore (Repl.feed s "let k(x: Int): Int = f(x) - 1");
+  expect_value s "h(4)" (Value.Int 44);
+  expect_value s "k(4)" (Value.Int 3)
+
+let expect_type_error session src =
+  match Repl.feed session src with
+  | exception Typecheck.Type_error _ -> ()
+  | _ -> Alcotest.failf "%s: type error expected" src
+
+let test_signature_change_breaking_caller () =
+  let s = Repl.create () in
+  ignore (Repl.feed s "let f(x: Int): Int = x + 1");
+  ignore (Repl.feed s "let g(x: Int): Int = f(x) * 10");
+  let n = List.length (Repl.function_oids s) in
+  (* g calls f with an Int: a String-taking f would break it *)
+  expect_type_error s "let f(x: String): Int = 1";
+  expect_type_error s "let f(x: Int): Bool = true";
+  (* the session is unchanged: same functions, old f, old signature *)
+  check tint "nothing linked" n (List.length (Repl.function_oids s));
+  expect_value s "g(1)" (Value.Int 20);
+  expect_value s "f(1)" (Value.Int 2);
+  expect_type_error s "f(\"a\")";
   ignore (Repl.feed s "let f(x: Int): Int = x + 2");
   expect_value s "g(1)" (Value.Int 30)
+
+let test_signature_change_without_callers () =
+  let s = Repl.create () in
+  ignore (Repl.feed s "let f(x: Int): Int = x + 1");
+  ignore (Repl.feed s "let other(x: Int): Int = x * 2");
+  let r = Repl.feed s "let f(x: String): String = x + \"!\"" in
+  check Alcotest.(list string) "redefined" [ "f" ] r.Repl.defined;
+  expect_value s "f(\"hi\")" (Value.Str "hi!");
+  expect_type_error s "f(1)";
+  (* later definitions check against the new signature *)
+  ignore (Repl.feed s "let shout(x: String): String = f(f(x))");
+  expect_value s "shout(\"a\")" (Value.Str "a!!");
+  expect_value s "other(4)" (Value.Int 8)
+
+let test_module_member_redefinition () =
+  let s = Repl.create () in
+  ignore (Repl.feed s "module m export let f(x: Int): Int = x + 1 end");
+  ignore (Repl.feed s "let g(x: Int): Int = m.f(x) * 10");
+  expect_value s "g(1)" (Value.Int 20);
+  (* same members, same signatures: callers relink *)
+  ignore (Repl.feed s "module m export let f(x: Int): Int = x + 2 end");
+  expect_value s "g(1)" (Value.Int 30);
+  (* a changed member signature, or a dropped member, breaks g *)
+  expect_type_error s "module m export let f(x: Bool): Int = 0 end";
+  expect_type_error s "module m export let other(x: Int): Int = x end";
+  expect_value s "g(1)" (Value.Int 30);
+  expect_value s "m.f(1)" (Value.Int 3);
+  (* a module nothing refers to may change shape freely *)
+  ignore (Repl.feed s "module n export let f(x: Int): Int = x end");
+  ignore (Repl.feed s "module n export let f(b: Bool): Bool = b let h(): Int = 7 end");
+  expect_value s "n.f(true)" (Value.Bool true);
+  expect_value s "n.h()" (Value.Int 7);
+  expect_type_error s "n.f(1)"
+
+(* Everything a caller can observe of one input. *)
+let observe session src =
+  match Repl.feed session src with
+  | exception Typecheck.Type_error (_, msg) -> "type error: " ^ msg
+  | r ->
+    Format.asprintf "defined [%s] %s output %S" (String.concat "; " r.Repl.defined)
+      (match r.Repl.result with
+      | Some (o, steps) -> Format.asprintf "%a in %d" Eval.pp_outcome o steps
+      | None -> "no result")
+      r.Repl.output
+
+let test_restore_equivalence () =
+  let history =
+    [
+      "let base = 100";
+      "let f(x: Int): Int = x + base";
+      "let g(x: Int): Int = f(x) * 2";
+      "module m export let sq(x: Int): Int = x * x end";
+      "let f(x: Int): Int = x + base + 1";
+      "let h(s: String): String = s + \"?\"";
+      "let h(n: Int): Int = m.sq(g(n))";
+    ]
+  in
+  let later =
+    [
+      "g(1)";
+      "h(2)";
+      "do io.print_int(f(5)) end";
+      "let k(x: Int): Int = h(x) + g(x)";
+      "k(3)";
+      "let f(x: Int): Int = x";
+      "k(3)";
+      "let f(x: Bool): Int = 0";
+      "let g(x: Int): Bool = true";
+      "module m export let sq(x: Int): Int = x end";
+      "k(3)";
+      "let base = 5";
+      "f(base)";
+    ]
+  in
+  let feed_all s = List.iter (fun src -> ignore (Repl.feed s src)) history in
+  let live = Repl.create () in
+  feed_all live;
+  let path = Filename.temp_file "tmlrepl" ".store" in
+  let s = Repl.create () in
+  feed_all s;
+  let pstore = Pstore.attach ~fsync:false path (Repl.ctx s).Runtime.heap in
+  ignore (Repl.persist s pstore);
+  Pstore.close pstore;
+  let pstore2 = Pstore.open_ ~fsync:false path in
+  let restored = Repl.restore pstore2 in
+  List.iter
+    (fun src -> check tstring src (observe live src) (observe restored src))
+    later;
+  Pstore.close pstore2;
+  Sys.remove path
 
 let test_output_captured () =
   let s = Repl.create () in
@@ -155,6 +275,14 @@ let () =
           Alcotest.test_case "later definitions see earlier ones" `Quick
             test_incremental_defs_see_older;
           Alcotest.test_case "redefinition relinks callers" `Quick test_redefinition_relinks;
+          Alcotest.test_case "signature change breaking a caller is rejected" `Quick
+            test_signature_change_breaking_caller;
+          Alcotest.test_case "signature change without callers is accepted" `Quick
+            test_signature_change_without_callers;
+          Alcotest.test_case "module member redefinition" `Quick
+            test_module_member_redefinition;
+          Alcotest.test_case "restored session feeds like the live one" `Quick
+            test_restore_equivalence;
           Alcotest.test_case "output captured per input" `Quick test_output_captured;
           Alcotest.test_case "exceptions surface" `Quick test_exceptions_surface;
           Alcotest.test_case "errors do not corrupt the session" `Quick

@@ -277,8 +277,8 @@ let test_pstore_relation_refault () =
       let heap = Pstore.heap ps in
       let ctx = Runtime.create heap in
       let rel =
-        Tml_query.Rel.create ctx ~name:"r"
-          [ [| Value.Int 1; Value.Str "a" |]; [| Value.Int 2; Value.Str "b" |] ]
+        Tml_query.Rel.of_rows ctx ~name:"r"
+          (Tml_query.Rel.tuples ctx [ [| Value.Int 1; Value.Str "a" |]; [| Value.Int 2; Value.Str "b" |] ])
       in
       Tml_query.Rel.add_index ctx rel 0;
       ignore (Pstore.commit ps);
