@@ -10,6 +10,15 @@
                     query pays for its own rewrite pass).
                     Acceptance: >= 50x at 10^6 rows.
 
+     param-point-select
+                    the same Zipfian stream through one parameterized view
+                    find(key) = select x.0 == key, optimized once: the
+                    q.index-select rewrite fires on the view's parameter,
+                    so every call probes the index with no per-query
+                    rewrite.  Measured at two relation sizes; the run
+                    fails if the view's abstract steps per call grow with
+                    the relation.
+
      join-order     a 3-relation chain whose left-deep order explodes
                     (A jn B is a cross product) while the statistics
                     expose a selective right-deep order.  Naive chain vs
@@ -205,6 +214,82 @@ let bench_point_select () =
     n_rows (1e3 *. naive_per_query) (1e3 *. opt_per_query) speedup
 
 (* ------------------------------------------------------------------ *)
+(* parameterized point-select: one view, optimized once, probed per call *)
+(* ------------------------------------------------------------------ *)
+
+let view_src ~rel =
+  Printf.sprintf
+    "proc(key ce! cc!) (select proc(x pce! pcc!) ([] x 0 cont(t) (== t key cont() (pcc! \
+     true) cont() (pcc! false))) <oid %d> ce! cont(s) (count s cc!))"
+    (Oid.to_int rel)
+
+(* [calls] Zipfian calls of [view] (a stored function); returns wall
+   seconds and abstract steps per call.  Every key is present once, so
+   each call selects exactly one row. *)
+let run_view ctx view ~n ~calls =
+  let zipf = zipf_sampler (Random.State.make [| 16; n |]) n in
+  let steps0 = ctx.Runtime.steps in
+  let (), wall =
+    time_s (fun () ->
+        for _ = 1 to calls do
+          match Machine.run_proc ctx (Value.Oidv view) [ Value.Int (zipf ()) ] with
+          | Eval.Done (Value.Int 1) -> ()
+          | o -> Format.kasprintf failwith "view call: %a" Eval.pp_outcome o
+        done)
+  in
+  wall /. float_of_int calls, (ctx.Runtime.steps - steps0) / calls
+
+let param_select_at n =
+  Qprims.install ();
+  let ctx = Runtime.create (Value.Heap.create ()) in
+  let rel =
+    Rel.of_rows ctx ~name:"events"
+      (Rel.tuples ctx (List.init n (fun i -> [| Value.Int i; Value.Int (i mod 97) |])))
+  in
+  Rel.add_index ctx rel 0;
+  let heap = ctx.Runtime.heap in
+  let src = Sexp.parse_value (view_src ~rel) in
+  let naive = Value.Heap.alloc_func heap ~name:"find" src in
+  let optimized, opt_s =
+    time_s (fun () ->
+        match src with
+        | Term.Abs f ->
+          let body, _report = Qopt.optimize ctx f.Term.body in
+          Value.Heap.alloc_func heap ~name:"find" (Term.Abs { f with Term.body })
+        | _ -> failwith "view is not an abstraction")
+  in
+  let probes0 = !Rel.index_probes in
+  let opt_ms, opt_steps = run_view ctx optimized ~n ~calls:n_queries in
+  let probes = !Rel.index_probes - probes0 in
+  let naive_ms, naive_steps = run_view ctx naive ~n ~calls:n_naive_queries in
+  Printf.printf
+    "  %8d rows: scan %9.3f ms/call (%d steps), view %7.4f ms/call (%d steps, %.2f \
+     probes/call), optimized once in %.2f ms\n"
+    n (1e3 *. naive_ms) naive_steps (1e3 *. opt_ms) opt_steps
+    (float_of_int probes /. float_of_int n_queries)
+    (1e3 *. opt_s);
+  json_add
+    {|{"experiment":"E16","workload":"param-point-select","rows":%d,"naive_ms":%.3f,"optimized_ms":%.4f,"speedup":%.1f,"naive_steps_per_call":%d,"steps_per_call":%d,"probes_per_call":%.2f,"optimize_ms":%.3f}|}
+    n (1e3 *. naive_ms) (1e3 *. opt_ms) (naive_ms /. opt_ms) naive_steps opt_steps
+    (float_of_int probes /. float_of_int n_queries)
+    (1e3 *. opt_s);
+  opt_steps
+
+(* false when the view's steps per call grew with the relation *)
+let bench_param_select () =
+  let small = max 1 (n_rows / 10) in
+  section
+    (Printf.sprintf
+       "E16 — parameterized point-select: one view optimized once, Zipfian calls\n\
+        (%d and %d rows; steps per call must not grow with the relation)" small n_rows);
+  let steps_small = param_select_at small in
+  let steps_large = param_select_at n_rows in
+  if steps_large > steps_small then
+    Printf.printf "  ** steps per call grew with the relation: %d -> %d **\n" steps_small
+      steps_large;
+  steps_large <= steps_small
+
+(* ------------------------------------------------------------------ *)
 (* join order: exploding left-deep chain vs the planned right-deep one  *)
 (* ------------------------------------------------------------------ *)
 
@@ -321,6 +406,8 @@ let bench_paging () =
 
 let () =
   bench_point_select ();
+  let steps_constant = bench_param_select () in
   bench_join_order ();
   bench_paging ();
-  write_json ()
+  write_json ();
+  if not steps_constant then exit 1

@@ -72,6 +72,9 @@ let entry_to_string oracle (c : corpus_case) =
       Buffer.add_string buf
         (Printf.sprintf "; kind: query\n; seed: %d\n; rows: %s\n" q.Tgen.qseed
            (rows_to_string q.Tgen.rows));
+      Option.iter
+        (fun f -> Buffer.add_string buf (Printf.sprintf "; index: %d\n" f))
+        q.Tgen.qindex;
       q.Tgen.qproc
   in
   Buffer.add_string buf (Sexp.print_app (Term.app (Term.prim "hold") [ proc ]));
@@ -123,6 +126,7 @@ let entry_of_string text =
         {
           Tgen.qseed = int_of_string (require "seed");
           rows = rows_of_string (require "rows");
+          qindex = Option.map int_of_string (field "index");
           qproc = proc;
         }
     | k -> failwith (Printf.sprintf "corpus entry: unknown kind %S" k)
@@ -150,11 +154,7 @@ let ptml_fails proc =
 let store_path () = Filename.temp_file "tmlfuzz" ".store"
 
 let store_setup (q : Tgen.query_case) ctx =
-  let rel =
-    Tml_query.Rel.of_rows ctx ~name:"t"
-      (Tml_query.Rel.tuples ctx
-         (List.map (fun row -> Array.of_list (List.map (fun x -> Value.Int x) row)) q.Tgen.rows))
-  in
+  let rel = Oracle.query_relation ctx q in
   let v = Eval.eval_value ctx ~env:Ident.Map.empty q.Tgen.qproc in
   ignore (Eval.run_proc ctx v [ Value.Oidv rel ])
 

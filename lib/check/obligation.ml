@@ -163,7 +163,12 @@ let check ?(cases = 12) ?(seed = 0) (r : Dsl.rule) =
            | Some ((rid, ceid, ccid), redex, post) ->
              let rows = gen_rows rng in
              let wrap body =
-               { Tgen.qseed = case_seed; rows; qproc = Term.abs [ rid; ceid; ccid ] body }
+               {
+                 Tgen.qseed = case_seed;
+                 rows;
+                 qindex = None;
+                 qproc = Term.abs [ rid; ceid; ccid ] body;
+               }
              in
              let pre = wrap redex in
              let post = wrap post in

@@ -240,23 +240,30 @@ let check_case ~engines (c : Tgen.case) =
     ~mk_args:(fun _ -> [ Value.Int c.Tgen.a; Value.Int c.Tgen.b ])
     ~store_of:(fun ctx _ _ -> Canon.dump_heap ctx.Runtime.heap)
 
+let query_relation ?page_size ctx (c : Tgen.query_case) =
+  let build () =
+    let oid =
+      Tml_query.Rel.of_rows ctx ~name:"t"
+        (Tml_query.Rel.tuples ctx
+           (List.map (fun row -> Array.of_list (List.map (fun x -> Value.Int x) row)) c.Tgen.rows))
+    in
+    Option.iter (Tml_query.Rel.add_index ctx oid) c.Tgen.qindex;
+    oid
+  in
+  match page_size with
+  | None -> build ()
+  | Some n ->
+    let saved = !Tml_vm.Relcore.default_page_size in
+    Tml_vm.Relcore.default_page_size := n;
+    Fun.protect ~finally:(fun () -> Tml_vm.Relcore.default_page_size := saved) build
+
 (* The shared run spec of a query case: how to materialize the relation
    (as an R-value binding on the persistent path, a runtime argument
    everywhere else) and what part of the store to compare. *)
 let query_spec (c : Tgen.query_case) =
-  let mk_rel ctx =
-    (* tiny pages so the battery spans the chunked layout (page faults,
-       tail vs sealed pages) even at oracle scale *)
-    let saved = !Tml_vm.Relcore.default_page_size in
-    Tml_vm.Relcore.default_page_size := 3;
-    Fun.protect
-      ~finally:(fun () -> Tml_vm.Relcore.default_page_size := saved)
-      (fun () ->
-        Tml_query.Rel.of_rows ctx ~name:"t"
-          (Tml_query.Rel.tuples ctx (List.map
-             (fun row -> Array.of_list (List.map (fun x -> Value.Int x) row))
-             c.Tgen.rows)))
-  in
+  (* tiny pages so the battery spans the chunked layout (page faults,
+     tail vs sealed pages) even at oracle scale *)
+  let mk_rel ctx = query_relation ~page_size:3 ctx c in
   let rel_param =
     match c.Tgen.qproc with
     | Term.Abs { Term.params = r :: _; _ } -> r
@@ -324,13 +331,7 @@ let check_purity (q : Tgen.query_case) =
       Purity_untestable "no testable claim (worst-case signature)"
     else
       let ctx = fresh_ctx () in
-      let root =
-        Value.Oidv
-          (Tml_query.Rel.of_rows ctx ~name:"t"
-             (Tml_query.Rel.tuples ctx (List.map
-                (fun row -> Array.of_list (List.map (fun x -> Value.Int x) row))
-                q.Tgen.rows)))
-      in
+      let root = Value.Oidv (query_relation ctx q) in
       let before = Canon.dump_reachable ctx [ root ] in
       match
         let v = Eval.eval_value ctx ~env:Ident.Map.empty q.Tgen.qproc in

@@ -93,6 +93,11 @@ val pp_verdict : Format.formatter -> verdict -> unit
     disagreements. *)
 val check_case : engines:engine list -> Tgen.case -> verdict
 
+(** [query_relation ?page_size ctx c] — a fresh store relation holding
+    [c]'s rows, with a hash index on [c.qindex] when it names a field.
+    [page_size] overrides the default row-page size while it is built. *)
+val query_relation : ?page_size:int -> Tml_vm.Runtime.ctx -> Tgen.query_case -> Oid.t
+
 (** [check_query ~engines c] — differential comparison of a query program
     over its generated relation. *)
 val check_query : engines:engine list -> Tgen.query_case -> verdict

@@ -374,6 +374,7 @@ let case_of_seed ?(min_size = 5) ?(max_size = 45) seed =
 type query_case = {
   qseed : int;
   rows : int list list;
+  qindex : int option;
   qproc : Term.value;
 }
 
@@ -666,13 +667,93 @@ let query_proc_gen rng ~size =
   let env = { rels = [ r, 3 ]; qints = []; qce = ce; qbudget = ref size } in
   abs [ r; ce; cc ] (gen_query rng env (fun v -> app (Var cc) [ v ]))
 
+(* A point query on the base relation [r], printed row by row before the
+   pipeline [rest] runs:
+
+     (count r cont(n)
+       (select λ(x pce pcc). x.[field] == key  r ce cont(pt)
+         (foreach (print_int x.[g]) pt ce cont(u) rest)))
+
+   The key is mostly the in-scope variable [n] — the parameterized shape
+   q.index-select probes with — otherwise a literal; either operand order
+   of [==] is generated. *)
+let point_prologue rng ~r ~ce ~field rest =
+  let n = Ident.fresh "n" in
+  let key = if Random.State.int rng 3 = 0 then int (Random.State.int rng 21) else var n in
+  let x = Ident.fresh "row" in
+  let pce = Ident.fresh ~sort:Cont "pce" in
+  let pcc = Ident.fresh ~sort:Cont "pcc" in
+  let t = Ident.fresh "t" in
+  let lhs, rhs = if Random.State.bool rng then var t, key else key, var t in
+  let pred =
+    abs [ x; pce; pcc ]
+      (app (prim "[]")
+         [
+           var x;
+           int field;
+           abs [ t ]
+             (app (prim "==")
+                [
+                  lhs;
+                  rhs;
+                  abs [] (app (Var pcc) [ bool_ true ]);
+                  abs [] (app (Var pcc) [ bool_ false ]);
+                ]);
+         ])
+  in
+  let y = Ident.fresh "row" in
+  let fce = Ident.fresh ~sort:Cont "fce" in
+  let fcc = Ident.fresh ~sort:Cont "fcc" in
+  let v = Ident.fresh "v" in
+  let w = Ident.fresh "u" in
+  let print_row =
+    abs [ y; fce; fcc ]
+      (app (prim "[]")
+         [
+           var y;
+           int (Random.State.int rng 3);
+           abs [ v ]
+             (app (prim "ccall")
+                [ str "print_int"; var v; Var fce; abs [ w ] (app (Var fcc) [ unit_ ]) ]);
+         ])
+  in
+  let pt = Ident.fresh "pt" in
+  let u = Ident.fresh "u" in
+  app (prim "count")
+    [
+      var r;
+      abs [ n ]
+        (app (prim "select")
+           [
+             pred;
+             var r;
+             Var ce;
+             abs [ pt ] (app (prim "foreach") [ print_row; var pt; Var ce; abs [ u ] rest ]);
+           ]);
+    ]
+
+(* The pipeline and rows come from the seed's main stream; whether the
+   base relation carries an index, and the point query over it, come from
+   a second stream, so every seed's pipeline is the same with or without
+   them. *)
 let query_case_of_seed ?(min_size = 2) ?(max_size = 10) seed =
   let rng = Random.State.make [| 0x517; seed |] in
   let n = Random.State.int rng 11 in
   let rows = List.init n (fun _ -> List.init 3 (fun _ -> Random.State.int rng 21)) in
   let size = min_size + Random.State.int rng (max 1 (max_size - min_size + 1)) in
   let qproc = query_proc_gen rng ~size in
-  { qseed = seed; rows; qproc }
+  let xrng = Random.State.make [| 0x1d5; seed |] in
+  let case qindex qproc = { qseed = seed; rows; qindex; qproc } in
+  match Random.State.int xrng 4, qproc with
+  | 0, _ -> case None qproc
+  | 1, _ -> case (Some (Random.State.int xrng 3)) qproc
+  | _, Abs ({ params = [ r; ce; _ ]; body } as f) ->
+    (* the probed field is indexed, except now and then, when the rule
+       must leave the scan alone *)
+    let field = Random.State.int xrng 3 in
+    let qindex = if Random.State.int xrng 5 = 0 then None else Some field in
+    case qindex (Abs { f with body = point_prologue xrng ~r ~ce ~field body })
+  | _ -> case None qproc
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking                                                           *)
@@ -825,7 +906,12 @@ let shrink_query_case (c : query_case) : query_case Seq.t =
     shrink_value ~allowed_free:Ident.Set.empty c.qproc
     |> Seq.map (fun qproc -> { c with qproc })
   in
-  Seq.concat (List.to_seq [ term_shrinks; drop_row; zero_cell ])
+  let drop_index =
+    match c.qindex with
+    | Some _ -> Seq.return { c with qindex = None }
+    | None -> Seq.empty
+  in
+  Seq.concat (List.to_seq [ term_shrinks; drop_index; drop_row; zero_cell ])
 
 let minimize ~shrink ~fails ?(max_steps = 500) x =
   let rec first seq =

@@ -50,10 +50,15 @@ val case_of_seed : ?min_size:int -> ?max_size:int -> int -> case
 
 (** A generated query program: a closed [proc(r ce cc)] over a relation
     argument, plus the rows (width 3, small non-negative ints) of the
-    relation to run it against. *)
+    relation to run it against and the field, if any, on which that
+    relation carries a hash index before the program is optimized or run.
+    Some programs open with a point query [x.[field] == key] on the base
+    relation, its key usually an in-scope variable, which the store-aware
+    optimizer can rewrite to an index probe. *)
 type query_case = {
   qseed : int;
   rows : int list list;
+  qindex : int option;
   qproc : Term.value;
 }
 

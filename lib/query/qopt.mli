@@ -36,11 +36,14 @@ val full_plan : Tml_vm.Runtime.ctx -> Rewrite.rule list
     closures), as registered by {!install}. *)
 val rule_descriptors : Tml_rules.Dsl.rule list
 
-(** [index_select ctx] — σ(field = literal) over a relation known (at
+(** [index_select ctx] — σ(field = key) over a relation known (at
     runtime) to carry a hash index on that field becomes an [indexselect].
-    The relation must appear as a literal OID, i.e. the term must already be
-    linked against the live store — which is exactly why this optimization
-    cannot happen at compile time. *)
+    The key is whatever {!Qrewrite.field_eq_predicate} accepts: a literal,
+    or a variable free in the predicate such as a view parameter, so a view
+    optimized once probes the index on every call.  The relation must
+    appear as a literal OID, i.e. the term must already be linked against
+    the live store — which is exactly why this optimization cannot happen
+    at compile time. *)
 val index_select : Tml_vm.Runtime.ctx -> Rewrite.rule
 
 (** [select_past ctx] — hoist a selection over a base relation past an

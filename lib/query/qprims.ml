@@ -308,30 +308,42 @@ let mkindex_impl ctx values conts =
     ret k Value.Unit
   | _ -> Runtime.fault "mkindex: bad arguments"
 
+(* The index hashes [Literal.t] keys structurally, so one bucket holds
+   both signed zeros and every NaN; [==] compares reals by bit pattern.
+   Probe hits are therefore re-checked with [Value.identical], and a key
+   with no literal form (a closure, say) takes the scan, where it matches
+   exactly what [select] with [==] would. *)
 let indexselect_impl ctx values conts =
   match values, conts with
   | [ rel; field; key ], [ _ce; cc ] -> (
     let oid = as_reloid ctx ~what:"indexselect" rel in
     let field = Runtime.as_int ~what:"indexselect" field in
-    let key_lit =
-      match Value.to_literal key with
-      | Some l -> l
-      | None -> Runtime.fault "indexselect: key %s has no literal form" (Value.type_name key)
+    let matches row =
+      let fields = Rel.row_tuple ctx row in
+      field >= 0 && field < Array.length fields && Value.identical fields.(field) key
     in
-    match Rel.lookup ctx oid ~field key_lit with
+    let probe =
+      match Value.to_literal key with
+      | Some key_lit -> Rel.lookup ctx oid ~field key_lit
+      | None -> None
+    in
+    match probe with
     | Some positions ->
       (* positions come back ascending: only their pages fault in *)
       Runtime.charge ctx (1 + (3 * List.length positions));
-      let rows = Array.of_list (List.map (fun pos -> Rel.nth ctx oid pos) positions) in
-      ret cc (Value.Oidv (Rel.of_rows ctx ~name:(rel_name ctx oid ^ "[ix]") rows))
+      let rows =
+        List.filter_map
+          (fun pos ->
+            let row = Rel.nth ctx oid pos in
+            if matches row then Some row else None)
+          positions
+      in
+      ret cc (Value.Oidv (Rel.of_rows ctx ~name:(rel_name ctx oid ^ "[ix]") (Array.of_list rows)))
     | None ->
-      (* no index at runtime: degrade to a scan *)
+      (* no index at runtime, or a key no index holds: degrade to a scan *)
       Runtime.charge ctx (Rel.length ctx oid);
       let out = ref [] in
-      Rel.iteri ctx oid (fun _ row ->
-          let fields = Rel.row_tuple ctx row in
-          if field >= 0 && field < Array.length fields && Value.identical fields.(field) key
-          then out := row :: !out);
+      Rel.iteri ctx oid (fun _ row -> if matches row then out := row :: !out);
       let kept = Array.of_list (List.rev !out) in
       ret cc (Value.Oidv (Rel.of_rows ctx ~name:(rel_name ctx oid ^ "[scan]") kept)))
   | _ -> Runtime.fault "indexselect: bad arguments"

@@ -24,8 +24,11 @@
       the update).
     - [(ontrigger rel fn cc)] — register a stored trigger procedure.
     - [(mkindex rel field cc)] — build a hash index (a runtime binding).
-    - [(indexselect rel field key ce cc)] — indexed equality selection;
-      falls back to a scan when no index exists.
+    - [(indexselect rel field key ce cc)] — indexed equality selection,
+      with the rows and order of [select] on [x.[field] == key]: probe hits
+      are re-checked with [==] (the index buckets signed zeros and NaNs
+      together); falls back to a scan when no index exists or the key has
+      no literal form.
     - [(idxjoin r1 r2 f1 f2 ce cc)] — index-accelerated equi-join: probes
       [r2]'s persistent index on [f2] with each [r1] row's [f1] value,
       reproducing the nested-loop [join]'s output (row order included);

@@ -353,31 +353,43 @@ let select_union = to_rewrite select_union_rule
 let distinct_distinct = to_rewrite distinct_distinct_rule
 let select_before_distinct = to_rewrite select_before_distinct_rule
 
-(* Recognize λ(x ce cc). x.[i] == lit — the indexable equality predicate
-   (used by the [index_select] closure rule in [Qopt]). *)
+(* Recognize λ(x ce cc). x.[i] == key, or the mirrored key == x.[i] —
+   the indexable equality predicate (used by the [index_select] closure
+   rule in [Qopt]).  The key is a literal or a variable free in the
+   predicate (a view parameter, say): never the row binder, the field
+   temporary or the predicate's own continuations.  [==] is symmetric,
+   so both operand orders denote the same selection. *)
 let field_eq_predicate (pred : Term.value) =
   let open Term in
   match pred with
-  | Abs { params = [ x; _ce; cc ]; body } -> (
+  | Abs { params = [ x; ce; cc ]; body } -> (
     match body with
     | {
      func = Prim "[]";
      args = [ Var x'; Lit (Literal.Int field); Abs { params = [ t ]; body = eqbody } ];
     }
       when Ident.equal x x' -> (
+      let is_key = function
+        | Lit _ -> true
+        | Var v -> not (List.exists (Ident.equal v) [ x; t; ce; cc ])
+        | Prim _ | Abs _ -> false
+      in
       match eqbody with
       | {
        func = Prim "==";
        args =
          [
-           Var t';
-           Lit key;
+           lhs;
+           rhs;
            Abs { params = []; body = { func = Var cc1; args = [ Lit (Literal.Bool true) ] } };
            Abs { params = []; body = { func = Var cc2; args = [ Lit (Literal.Bool false) ] } };
          ];
       }
-        when Ident.equal t t' && Ident.equal cc cc1 && Ident.equal cc cc2 ->
-        Some (field, key)
+        when Ident.equal cc cc1 && Ident.equal cc cc2 -> (
+        match lhs, rhs with
+        | Var t', key when Ident.equal t t' && is_key key -> Some (field, key)
+        | key, Var t' when Ident.equal t t' && is_key key -> Some (field, key)
+        | _ -> None)
       | _ -> None)
     | _ -> None)
   | _ -> None

@@ -75,9 +75,13 @@ val distinct_distinct : Rewrite.rule
 val select_before_distinct : Rewrite.rule
 
 (** [field_eq_predicate pred] recognizes a predicate abstraction of the
-    shape λ(x ce cc). x.[i] == lit, returning [(i, lit)] — the shape the
-    [index_select] rule (in {!Qopt}) accelerates. *)
-val field_eq_predicate : Term.value -> (int * Literal.t) option
+    shape λ(x ce cc). x.[i] == key, or the mirrored λ(x ce cc). key == x.[i],
+    returning [(i, key)] — the shape the [index_select] rule (in {!Qopt})
+    accelerates.  [key] is a literal or a variable free in the predicate,
+    such as a view parameter; the row binder [x], the field temporary and
+    the predicate's own [ce]/[cc] are rejected.  The key comes back as the
+    term it is, so a rewrite can pass it on unchanged. *)
+val field_eq_predicate : Term.value -> (int * Term.value) option
 
 (** [join_field_eq_predicate pred] recognizes the equi-join predicate
     shape [λ(x y ce cc). x.[f1] == y.[f2]] and returns [(f1, f2)]. *)

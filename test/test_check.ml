@@ -75,6 +75,50 @@ let prop_purity_sound =
       | Oracle.Purity_agree | Oracle.Purity_untestable _ -> true
       | Oracle.Purity_violation d -> QCheck2.Test.fail_reportf "%s" d)
 
+(* The generator's point queries over an indexed base relation must reach
+   the index rule in the reflective engine: every case whose prologue
+   compares the indexed field against an in-scope variable fires
+   q.index-select at least once, and the probe agrees with the tree
+   evaluator's scan. *)
+let test_variable_key_point_queries () =
+  let point_engines =
+    List.filter
+      (fun e -> List.mem (Oracle.engine_name e) [ "tree"; "reflect-q" ])
+      engines
+  in
+  let index_fires () =
+    Option.value ~default:0 (List.assoc_opt "q.index-select" (Rewrite.fire_counts ()))
+  in
+  let parameterized = ref 0 in
+  for seed = 0 to 59 do
+    let c = Tgen.query_case_of_seed seed in
+    let probes_variable_key =
+      match c.Tgen.qproc, c.Tgen.qindex with
+      | Term.Abs { Term.params = r :: _; body }, Some f ->
+        Term.exists_app
+          (fun a ->
+            match a.Term.func, a.Term.args with
+            | Term.Prim "select", [ pred; Term.Var r'; _; _ ] when Ident.equal r r' -> (
+              match Tml_query.Qrewrite.field_eq_predicate pred with
+              | Some (f', Term.Var _) -> f = f'
+              | _ -> false)
+            | _ -> false)
+          body
+      | _ -> false
+    in
+    let before = index_fires () in
+    (match Oracle.check_query ~engines:point_engines c with
+    | Oracle.Agree _ -> ()
+    | v -> Alcotest.failf "seed %d: %a" seed Oracle.pp_verdict v);
+    if probes_variable_key then begin
+      incr parameterized;
+      if index_fires () <= before then
+        Alcotest.failf "seed %d: q.index-select did not fire on a variable-key point query" seed
+    end
+  done;
+  Alcotest.(check bool) "the generator produces variable-key point queries" true
+    (!parameterized >= 10)
+
 (* the cached-vs-fresh reflective pair in isolation: only the reflective
    engines (one specializing fresh, one served from the specialization
    cache) against the tree baseline, so a divergence is attributable to
@@ -327,8 +371,12 @@ let () =
             prop_purity_sound;
           ] );
       ( "validation",
-        [ Alcotest.test_case "optimizer passes validate on a seed sweep" `Quick
-            test_validation_hook ] );
+        [
+          Alcotest.test_case "optimizer passes validate on a seed sweep" `Quick
+            test_validation_hook;
+          Alcotest.test_case "variable-key point queries probe the index" `Quick
+            test_variable_key_point_queries;
+        ] );
       ( "obj round trip",
         [
           Alcotest.test_case "simple objects" `Quick test_obj_simple;

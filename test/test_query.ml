@@ -238,13 +238,22 @@ let test_prim_indexselect () =
       | Eval.Done (Value.Int 2) -> ()
       | o -> Alcotest.failf "indexselect: %a" Eval.pp_outcome o);
       (* without an index it degrades to a scan with identical results *)
+      (match
+         run_tml ctx
+           [ "r", Value.Oidv rel ]
+           "(indexselect r 2 8000 halt_err! cont(out) (count out cont(n) (halt_ok! n)))"
+       with
+      | Eval.Done (Value.Int 1) -> ()
+      | o -> Alcotest.failf "indexselect scan: %a" Eval.pp_outcome o);
+      (* a key with no literal form takes the scan: no row matches it,
+         exactly as under select with == *)
       match
         run_tml ctx
-          [ "r", Value.Oidv rel ]
-          "(indexselect r 2 8000 halt_err! cont(out) (count out cont(n) (halt_ok! n)))"
+          [ "r", Value.Oidv rel; "key", Value.Primv "+" ]
+          "(indexselect r 1 key halt_err! cont(out) (count out cont(n) (halt_ok! n)))"
       with
-      | Eval.Done (Value.Int 1) -> ()
-      | o -> Alcotest.failf "indexselect scan: %a" Eval.pp_outcome o)
+      | Eval.Done (Value.Int 0) -> ()
+      | o -> Alcotest.failf "indexselect, key without literal form: %a" Eval.pp_outcome o)
 
 let test_prim_set_ops () =
   let ctx = fresh_ctx () in
@@ -606,14 +615,47 @@ let test_distinct_rules () =
 let test_field_eq_recognition () =
   let pred = Sexp.parse_value (field_pred ~field:1 ~value:38) in
   (match Qrewrite.field_eq_predicate pred with
-  | Some (1, Literal.Int 38) -> ()
+  | Some (1, Term.Lit (Literal.Int 38)) -> ()
   | _ -> Alcotest.fail "field-equality predicate not recognized");
   (* a > predicate is not an equality *)
   let pred2 =
     Sexp.parse_value
       "proc(x pce! pcc!) ([] x 1 cont(t) (> t 38 cont() (pcc! true) cont() (pcc! false)))"
   in
-  check tbool "non-equality rejected" true (Qrewrite.field_eq_predicate pred2 = None)
+  check tbool "non-equality rejected" true (Qrewrite.field_eq_predicate pred2 = None);
+  let eq_pred ~lhs ~rhs =
+    Sexp.parse_value
+      (Printf.sprintf
+         "proc(x pce! pcc!) ([] x 2 cont(t) (== %s %s cont() (pcc! true) cont() (pcc! false)))"
+         lhs rhs)
+  in
+  let key_of = function
+    | Some (2, Term.Var id) -> Some id.Ident.name
+    | Some (2, Term.Lit (Literal.Int n)) -> Some (string_of_int n)
+    | _ -> None
+  in
+  (* a variable bound outside the predicate is a key, in either order *)
+  check (Alcotest.option Alcotest.string) "variable key" (Some "k")
+    (key_of (Qrewrite.field_eq_predicate (eq_pred ~lhs:"t" ~rhs:"k")));
+  check (Alcotest.option Alcotest.string) "mirrored variable key" (Some "k")
+    (key_of (Qrewrite.field_eq_predicate (eq_pred ~lhs:"k" ~rhs:"t")));
+  check (Alcotest.option Alcotest.string) "mirrored literal key" (Some "38")
+    (key_of (Qrewrite.field_eq_predicate (eq_pred ~lhs:"38" ~rhs:"t")));
+  (* the predicate's own binders are not keys *)
+  List.iter
+    (fun (name, (lhs, rhs)) ->
+      check tbool (name ^ " rejected as a key") true
+        (Qrewrite.field_eq_predicate (eq_pred ~lhs ~rhs) = None))
+    [
+      "row binder", ("t", "x");
+      "mirrored row binder", ("x", "t");
+      "field temporary", ("t", "t");
+      "exception continuation", ("t", "pce!");
+      "return continuation", ("pcc!", "t");
+    ];
+  (* a comparison that never reads the field is not an index probe *)
+  check tbool "no field operand rejected" true
+    (Qrewrite.field_eq_predicate (eq_pred ~lhs:"k" ~rhs:"38") = None)
 
 let test_index_select_runtime () =
   with_employees (fun ctx rel ->
@@ -630,6 +672,113 @@ let test_index_select_runtime () =
       let a_yes = Rewrite.reduce_app ~rules:(Qopt.runtime_rules ctx) a in
       check tint "indexselect introduced" 1 (count_prim "indexselect" a_yes);
       check tint "select eliminated" 0 (count_prim "select" a_yes))
+
+(* A parameterized view over an indexed relation, optimized once by the
+   reflective optimizer (what [:optimize] does), must select exactly the
+   rows of the unoptimized view for every key — including the keys the
+   index's structural hashing conflates ([0.0]/[-0.0], NaNs of different
+   bit patterns), keys of the wrong type and absent keys — and must keep
+   doing so once the index is gone. *)
+let test_parameterized_view () =
+  (* a fresh heap reuses OIDs: drop the per-OID optimizer caches *)
+  Speccache.clear ();
+  Tml_analysis.Cache.clear ();
+  let ctx = fresh_ctx () in
+  let nan2 = Int64.float_of_bits 0x7FF0000000000002L in
+  let rows =
+    [
+      [| Value.Int 1; Value.Str "a"; Value.Bool true; Value.Real 0.0 |];
+      [| Value.Int 2; Value.Str "b"; Value.Bool false; Value.Real (-0.0) |];
+      [| Value.Int 1; Value.Str "c"; Value.Bool true; Value.Real Float.nan |];
+      [| Value.Int 3; Value.Str "a"; Value.Bool false; Value.Real nan2 |];
+      [| Value.Int 4; Value.Str "d"; Value.Bool true; Value.Real 1.5 |];
+      [| Value.Int 2; Value.Str "e"; Value.Bool true; Value.Real 0.0 |];
+    ]
+  in
+  let rel = Rel.of_rows ctx ~name:"items" (Rel.tuples ctx rows) in
+  List.iter (Rel.add_index ctx rel) [ 0; 1; 2; 3 ];
+  let keys =
+    [
+      0, [ Value.Int 1; Value.Int 2; Value.Int 9; Value.Real 1.0 ];
+      1, [ Value.Str "a"; Value.Str "zz"; Value.Int 1 ];
+      2, [ Value.Bool true; Value.Bool false ];
+      ( 3,
+        [
+          Value.Real 0.0;
+          Value.Real (-0.0);
+          Value.Real Float.nan;
+          Value.Real nan2;
+          Value.Real 1.5;
+          Value.Real 9.0;
+          Value.Int 0;
+        ] );
+    ]
+  in
+  (* the view prints each selected row's name, then returns the rows *)
+  let view ~field ~mirrored =
+    let eq = if mirrored then "key t" else "t key" in
+    Sexp.parse_value
+      (Printf.sprintf
+         "proc(key ce! cc!) (select proc(x pce! pcc!) ([] x %d cont(t) (== %s cont() (pcc! \
+          true) cont() (pcc! false))) <oid %d> ce! cont(s) (foreach proc(y fce! fcc!) ([] y \
+          1 cont(v) (ccall \"print_str\" v fce! cont(u) (fcc! u))) s ce! cont(w) (cc! s)))"
+         field eq (Oid.to_int rel))
+  in
+  let run oid key =
+    Buffer.clear ctx.Runtime.out;
+    match Machine.run_proc ctx (Value.Oidv oid) [ key ] with
+    | Eval.Done (Value.Oidv out) -> Array.to_list (Rel.rows ctx out), Buffer.contents ctx.Runtime.out
+    | o -> Alcotest.failf "view: %a" Eval.pp_outcome o
+  in
+  let views =
+    List.concat_map
+      (fun (field, field_keys) ->
+        List.map
+          (fun mirrored ->
+            let src = view ~field ~mirrored in
+            let plain = Value.Heap.alloc_func ctx.Runtime.heap ~name:"plain" src in
+            let opt = Value.Heap.alloc_func ctx.Runtime.heap ~name:"find" src in
+            let res = Tml_reflect.Reflect.optimize_inplace ctx opt in
+            (match res.Tml_reflect.Reflect.optimized_tml with
+            | Term.Abs f ->
+              check tint
+                (Printf.sprintf "field %d%s: indexselect installed" field
+                   (if mirrored then " (mirrored)" else ""))
+                1 (count_prim "indexselect" f.Term.body)
+            | _ -> Alcotest.fail "optimized view is not an abstraction");
+            field, mirrored, plain, opt, field_keys)
+          [ false; true ])
+      keys
+  in
+  let agree phase =
+    List.iter
+      (fun (field, mirrored, plain, opt, field_keys) ->
+        List.iter
+          (fun key ->
+            let name =
+              Format.asprintf "%s, field %d%s, key %a" phase field
+                (if mirrored then " (mirrored)" else "")
+                Value.pp key
+            in
+            let rows_p, out_p = run plain key in
+            let rows_o, out_o = run opt key in
+            check tint (name ^ ": cardinality") (List.length rows_p) (List.length rows_o);
+            check tbool (name ^ ": same rows, same order") true
+              (List.for_all2 Value.identical rows_p rows_o);
+            check Alcotest.string (name ^ ": same output") out_p out_o)
+          field_keys)
+      views
+  in
+  let probes0 = !Rel.index_probes in
+  agree "indexed";
+  check tbool "the optimized views probed the index" true (!Rel.index_probes > probes0);
+  (* drop every index: the installed indexselect degrades to a scan *)
+  let r = Rel.get ctx rel in
+  r.Value.rel_indexes <- [];
+  Value.Heap.set ctx.Runtime.heap rel (Value.Relation r);
+  let probes1 = !Rel.index_probes in
+  agree "index gone";
+  check tint "no probes without an index" probes1 !Rel.index_probes
 
 let join_pred ~f1 ~f2 =
   Printf.sprintf
@@ -940,6 +1089,8 @@ let () =
           Alcotest.test_case "field equality recognition" `Quick test_field_eq_recognition;
           Alcotest.test_case "index-select needs the runtime binding" `Quick
             test_index_select_runtime;
+          Alcotest.test_case "parameterized view probes the index" `Quick
+            test_parameterized_view;
           Alcotest.test_case "equi-join predicate recognition" `Quick
             test_join_field_eq_recognition;
           Alcotest.test_case "index-join needs the runtime binding" `Quick
