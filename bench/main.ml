@@ -627,9 +627,10 @@ let e10 () =
 (* E11a — reduce-pass throughput.  The workload is the one the optimizer
    driver (and any repeated-specialization session) actually runs: the
    same term is re-reduced pass after pass, with most of the tree already
-   in normal form.  The legacy engine re-sweeps the whole term every
-   pass; the incremental engine answers from the hash-consed normal-form
-   memo.  The terms are the E8 micro-benchmark generator's (same seed). *)
+   in normal form.  The memo-free reducer (the small-root path, and the
+   reference here) re-sweeps the whole term every pass; the incremental
+   engine answers from the hash-consed normal-form memo.  The terms are
+   the E8 micro-benchmark generator's (same seed). *)
 let e11_throughput ~budget =
   let rng = Random.State.make [| 2025 |] in
   let small = Gen.proc2 rng ~size:20 in
@@ -684,14 +685,18 @@ let e11_throughput ~budget =
     saved_threshold gated_ns ungated_ns (ungated_ns /. gated_ns);
   (* the same comparison at the optimizer-driver level: a full O3
      optimize of an already-optimized term (rounds 2..n of any fixpoint
-     loop look exactly like this) *)
-  let opt_inc = { Optimizer.o3 with Optimizer.incremental = true } in
-  let opt_leg = { Optimizer.o3 with Optimizer.incremental = false } in
-  let legacy_ns = time_ns ~budget (fun () -> Optimizer.optimize_value ~config:opt_leg medium) in
+     loop look exactly like this).  The reference arm raises the memo size
+     gate to [max_int], which sends every root down the memo-free path. *)
+  Rewrite.memo_size_threshold := max_int;
+  let legacy_ns =
+    Fun.protect
+      ~finally:(fun () -> Rewrite.memo_size_threshold := saved_threshold)
+      (fun () -> time_ns ~budget (fun () -> Optimizer.optimize_value ~config:Optimizer.o3 medium))
+  in
   let memo = Rewrite.fresh_memo () in
-  ignore (Optimizer.optimize_value ~config:opt_inc ~memo medium);
+  ignore (Optimizer.optimize_value ~config:Optimizer.o3 ~memo medium);
   let incr_ns =
-    time_ns ~budget (fun () -> Optimizer.optimize_value ~config:opt_inc ~memo medium)
+    time_ns ~budget (fun () -> Optimizer.optimize_value ~config:Optimizer.o3 ~memo medium)
   in
   Printf.printf "%-10s %14.1f %14.1f %8.2fx   (optimize -O3, warm memo)\n%!" "medium"
     legacy_ns incr_ns (legacy_ns /. incr_ns);

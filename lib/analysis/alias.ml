@@ -4,7 +4,7 @@ open Term
 (* Relation-reading primitives and the argument positions (over the full
    argument list) at which a relation is consumed read-only.  This is the
    table [Qrewrite.alias_safe] was built on; it lives here now so both the
-   syntactic fallback and the flow-based gate share it. *)
+   syntactic walk and the flow-based gate share it. *)
 let reader_positions = function
   | "select" | "project" | "exists" | "sum" | "minagg" | "maxagg" | "foreach" -> [ 1 ]
   | "join" -> [ 1; 2 ]

@@ -1,10 +1,6 @@
 open Tml_core
 open Term
 
-(* Global switch: when off, every consumer falls back to its pre-analysis
-   behaviour (syntactic gates, no effect-based rules, no inlining bonus). *)
-let enabled = ref true
-
 (* Effect-based [remove]: delete a call whose result is dead and whose
    callee provably cannot be observed running.
 
@@ -61,10 +57,8 @@ let inline_bonus (a : abs) =
    rules join the domain rule set and the expansion pass consults effect
    signatures in its cost decisions. *)
 let with_analysis (c : Optimizer.config) =
-  if not !enabled then c
-  else
-    {
-      c with
-      Optimizer.rules = c.Optimizer.rules @ rules;
-      expand = { c.Optimizer.expand with Expand.effect_bonus = Some inline_bonus };
-    }
+  {
+    c with
+    Optimizer.rules = c.Optimizer.rules @ rules;
+    expand = { c.Optimizer.expand with Expand.effect_bonus = Some inline_bonus };
+  }

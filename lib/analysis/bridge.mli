@@ -1,14 +1,12 @@
 (** The optimizer bridge: effect-analysis-driven rewriting.
 
     Consumers opt in by wrapping their {!Tml_core.Optimizer.config} with
-    {!with_analysis}; the global {!enabled} switch (on by default, turned
-    off by [tmlc --fno-analysis]) also controls the analysis-based gate of
-    [Qrewrite.constant_select], which falls back to the syntactic
-    [alias_safe] walk when off. *)
+    {!with_analysis}.  The same analysis also backs the aliasing gate of
+    [Qrewrite.constant_select] ([Sidecond.alias_ok]), which accepts what
+    the syntactic [alias_safe] walk or the flow-based
+    {!Alias.select_alias_ok} accepts. *)
 
 open Tml_core
-
-val enabled : bool ref
 
 (** Delete a call with a dead result when the callee's inferred signature
     is pure, terminating, fault-free and confined to its return
@@ -22,6 +20,5 @@ val rules : Rewrite.rule list
 val inline_bonus : Term.abs -> int
 
 (** [with_analysis c] adds {!rules} to [c.rules] and installs
-    {!inline_bonus} as the expansion pass's [effect_bonus]; the identity
-    when {!enabled} is false. *)
+    {!inline_bonus} as the expansion pass's [effect_bonus]. *)
 val with_analysis : Optimizer.config -> Optimizer.config

@@ -27,7 +27,6 @@ let engines ~validate =
     {
       Reflect_.default with
       Reflect_.optimizer = ov Reflect_.default.Reflect_.optimizer;
-      use_ptml = true;
       use_query_rules;
     }
   in

@@ -30,15 +30,6 @@ type config = {
           violation raises {!Validation_error}.  Intended for the
           differential test harness ([Tml_check]) and for debugging domain
           rules; the checks cost one tree traversal per pass. *)
-  incremental : bool;
-      (** the incremental engine (on by default): reduction passes memoize
-          normal forms by hash-consed handle ({!Rewrite.memo}) and preserve
-          the physical identity of unchanged subtrees, so later rounds skip
-          already-normalized regions in O(1); validation becomes delta
-          validation (boundary checks on unchanged subtrees via {!Wf}'s
-          [skip]); size/cost accounting uses the memoized {!Hashcons}
-          measures.  Switch off ([--fno-incremental] in the tools) to get
-          the legacy full-resweep engine for comparison benchmarks. *)
 }
 
 (** Raised (only when [validate] is on) when a pass produces an ill-formed
@@ -79,8 +70,17 @@ val pp_report : Format.formatter -> report -> unit
 (** [optimize_app ?config ?memo a] optimizes a TML application to fixpoint
     (or penalty exhaustion) and reports what happened.
 
+    Reduction passes memoize normal forms by hash-consed handle
+    ({!Rewrite.memo}) and preserve the physical identity of unchanged
+    subtrees, so later rounds skip already-normalized regions in O(1);
+    roots smaller than {!Rewrite.memo_size_threshold} take the memo-free
+    reducer (setting it to [max_int] makes that path the reference for
+    tests and benchmarks).  Validation is delta validation (boundary
+    checks on unchanged subtrees via {!Wf}'s [skip]), and size/cost
+    accounting uses the memoized {!Hashcons} measures.
+
     [memo] supplies an external normal-form memo instead of the fresh
-    per-call one the incremental engine creates; pass it to share work
+    per-call one created otherwise; pass it to share work
     across repeated optimizations of overlapping terms.  Only sound while
     the rule set stays a pure function of the term — with the empty or a
     pure [config.rules], not with store-aware rules over a heap that

@@ -141,7 +141,9 @@ val memo_misses : memo -> int
     nodes big, one intern + table lookup per node costs more than simply
     re-reducing it.  The size probe is budget-bounded, so large
     already-normal roots keep their O(1) memo fast path.  Set to [0] to
-    memoize unconditionally (the pre-gate behavior). *)
+    memoize unconditionally (the pre-gate behavior), or to [max_int] to
+    send every root down the memo-free path — the reference the
+    incremental engine is tested and benchmarked against. *)
 val memo_size_threshold : int ref
 
 (** [reduce_app ?stats ?rules ?max_steps ?memo app] normalizes [app]:

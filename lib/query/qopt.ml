@@ -219,84 +219,73 @@ let join_order ctx (a : app) =
 (* ------------------------------------------------------------------ *)
 
 (* The store-aware rules keep the closure escape hatch of the rule DSL:
-   they close over a runtime context, so what the audit registry holds is
-   a representative descriptor (never executed there) while the optimizer
-   gets the live closure. *)
+   they close over a runtime context.  Each rule's name, doc and heads are
+   declared once, by a constructor taking the closure: the optimizer gets
+   the live closure, the audit registry the same descriptor over a
+   closure that never fires. *)
 
-let index_select_doc =
-  "σ(field = key) over a relation carrying a live hash index on that \
-   field becomes an indexselect probe; the key is a literal or a variable \
-   free in the predicate, on either side of == (runtime-only: needs the \
-   linked store)."
+let index_select_rule =
+  Tml_rules.Dsl.closure_rule ~name:"q.index-select"
+    ~doc:
+      "σ(field = key) over a relation carrying a live hash index on that \
+       field becomes an indexselect probe; the key is a literal or a variable \
+       free in the predicate, on either side of == (runtime-only: needs the \
+       linked store)."
+    ~heads:[ Tml_rules.Dsl.Head_prim "select" ]
 
-let select_past_doc =
-  "Hoist a base-relation selection past a read-only interposer so two \
-   selections become adjacent and merge-select can fuse them; gated on \
-   the effect analysis (pure, total, confined predicate)."
+let select_past_rule =
+  Tml_rules.Dsl.closure_rule ~name:"q.select-past"
+    ~doc:
+      "Hoist a base-relation selection past a read-only interposer so two \
+       selections become adjacent and merge-select can fuse them; gated on \
+       the effect analysis (pure, total, confined predicate)."
+    ~heads:[ Tml_rules.Dsl.Head_prim "select" ]
 
-let index_join_doc =
-  "⋈(x.f1 = y.f2) whose inner relation carries a live persistent hash \
-   index on f2 becomes an idxjoin probe loop (runtime-only: needs the \
-   linked store)."
+let index_join_rule =
+  Tml_rules.Dsl.closure_rule ~name:"q.index-join"
+    ~doc:
+      "⋈(x.f1 = y.f2) whose inner relation carries a live persistent hash \
+       index on f2 becomes an idxjoin probe loop (runtime-only: needs the \
+       linked store)."
+    ~heads:[ Tml_rules.Dsl.Head_prim "join" ]
 
-let join_order_doc =
-  "Reassociate a left-deep equi-join chain A ⋈ B ⋈ C into A ⋈ (B ⋈ C) \
-   when the per-relation cardinality statistics estimate the right-deep \
-   order at under 0.9× the cost (runtime-only: reads stats objects)."
-
-let index_select_rule ctx =
-  Tml_rules.Dsl.closure_rule ~name:"q.index-select" ~doc:index_select_doc
-    ~heads:[ Tml_rules.Dsl.Head_prim "select" ] (index_select ctx)
-
-let select_past_rule ctx =
-  Tml_rules.Dsl.closure_rule ~name:"q.select-past" ~doc:select_past_doc
-    ~heads:[ Tml_rules.Dsl.Head_prim "select" ] (select_past ctx)
-
-let index_join_rule ctx =
-  Tml_rules.Dsl.closure_rule ~name:"q.index-join" ~doc:index_join_doc
-    ~heads:[ Tml_rules.Dsl.Head_prim "join" ] (index_join ctx)
-
-let join_order_rule ctx =
-  Tml_rules.Dsl.closure_rule ~name:"q.join-order" ~doc:join_order_doc
-    ~heads:[ Tml_rules.Dsl.Head_prim "join" ] (join_order ctx)
-
-let rule_descriptors =
-  Qrewrite.declarative_rules
-  @ [
-      Tml_rules.Dsl.closure_rule ~name:"q.join-order" ~doc:join_order_doc
-        ~heads:[ Tml_rules.Dsl.Head_prim "join" ]
-        (fun _ -> None);
-      Tml_rules.Dsl.closure_rule ~name:"q.index-join" ~doc:index_join_doc
-        ~heads:[ Tml_rules.Dsl.Head_prim "join" ]
-        (fun _ -> None);
-      Tml_rules.Dsl.closure_rule ~name:"q.index-select" ~doc:index_select_doc
-        ~heads:[ Tml_rules.Dsl.Head_prim "select" ]
-        (fun _ -> None);
-      Tml_rules.Dsl.closure_rule ~name:"q.select-past" ~doc:select_past_doc
-        ~heads:[ Tml_rules.Dsl.Head_prim "select" ]
-        (fun _ -> None);
-    ]
-
-let install () =
-  Qprims.install ();
-  Tml_rules.Index.register_all rule_descriptors
+let join_order_rule =
+  Tml_rules.Dsl.closure_rule ~name:"q.join-order"
+    ~doc:
+      "Reassociate a left-deep equi-join chain A ⋈ B ⋈ C into A ⋈ (B ⋈ C) \
+       when the per-relation cardinality statistics estimate the right-deep \
+       order at under 0.9× the cost (runtime-only: reads stats objects)."
+    ~heads:[ Tml_rules.Dsl.Head_prim "join" ]
 
 (* [join_order] must precede [index_join]: the indexed dispatcher keeps
    declaration order, and consuming the outer join into an idxjoin first
    would hide the chain the reassociation needs to see. *)
 let declarative_runtime_rules ctx =
-  join_order_rule ctx :: index_join_rule ctx :: index_select_rule ctx
-  :: (if !Tml_analysis.Bridge.enabled then [ select_past_rule ctx ] else [])
+  [
+    join_order_rule (join_order ctx);
+    index_join_rule (index_join ctx);
+    index_select_rule (index_select ctx);
+    select_past_rule (select_past ctx);
+  ]
+
+let rule_descriptors =
+  Qrewrite.declarative_rules
+  @ List.map
+      (fun rule -> rule (fun _ -> None))
+      [ join_order_rule; index_join_rule; index_select_rule; select_past_rule ]
+
+let install () =
+  Qprims.install ();
+  Tml_rules.Index.register_all rule_descriptors
 
 let runtime_rules ctx = List.map Tml_rules.Dsl.to_rewrite (declarative_runtime_rules ctx)
 
 (* What the optimizer entry points actually install: the indexed
-   dispatcher over the full declarative set (or the historical linear
-   list when [Tml_rules.Index.enabled] is off — [tmlc --fno-rule-index]). *)
-let static_plan () = Tml_rules.Index.plan Qrewrite.declarative_rules
+   dispatcher over the full declarative set. *)
+let static_plan () = [ Tml_rules.Index.compile Qrewrite.declarative_rules ]
 
 let full_plan ctx =
-  Tml_rules.Index.plan (Qrewrite.declarative_rules @ declarative_runtime_rules ctx)
+  [ Tml_rules.Index.compile (Qrewrite.declarative_rules @ declarative_runtime_rules ctx) ]
 
 let optimize ?(config = Optimizer.default) ctx a =
   install ();

@@ -23,8 +23,7 @@ val install : unit -> unit
 val static_rules : Rewrite.rule list
 
 (** [static_plan ()] — the store-independent rules as the optimizer should
-    receive them: the head-indexed dispatcher of {!Tml_rules.Index}, or
-    the flat list when indexing is disabled ([tmlc --fno-rule-index]). *)
+    receive them: the head-indexed dispatcher of {!Tml_rules.Index}. *)
 val static_plan : unit -> Rewrite.rule list
 
 (** [full_plan ctx] — {!static_plan} plus the store-aware rules, as one
@@ -32,8 +31,9 @@ val static_plan : unit -> Rewrite.rule list
 val full_plan : Tml_vm.Runtime.ctx -> Rewrite.rule list
 
 (** Descriptors of every rule this library can fire (declarative query
-    rules plus representative descriptors for the two store-aware
-    closures), as registered by {!install}. *)
+    rules plus the store-aware closure rules of {!declarative_runtime_rules},
+    built by the same constructors over a closure that never fires), as
+    registered by {!install}. *)
 val rule_descriptors : Tml_rules.Dsl.rule list
 
 (** [index_select ctx] — σ(field = key) over a relation known (at
@@ -68,8 +68,7 @@ val index_join : Tml_vm.Runtime.ctx -> Rewrite.rule
     cardinalities and both cost estimates. *)
 val join_order : Tml_vm.Runtime.ctx -> Rewrite.rule
 
-(** [runtime_rules ctx] — all store-dependent rules ([select_past] only
-    while [Tml_analysis.Bridge.enabled]). *)
+(** [runtime_rules ctx] — all store-dependent rules. *)
 val runtime_rules : Tml_vm.Runtime.ctx -> Rewrite.rule list
 
 (** The store-dependent rules as DSL descriptors (closure escape hatch),

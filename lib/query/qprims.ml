@@ -134,54 +134,54 @@ let join_impl ctx values conts =
 (* Index-accelerated equi-join: for each row of [rel1], probe [rel2]'s
    persistent index on [f2] with the value of [f1]. Probed positions
    come back ascending, reproducing the inner-loop order of the
-   nested-loop [join] exactly — the [q.index-join] rewrite is therefore
-   result-identical, row order included. Degrades to a nested scan when
-   the index is missing at runtime. *)
+   nested-loop [join] exactly. Every candidate pair is re-checked with
+   [Value.identical] — the [==] of the join predicate — since the
+   [Literal.t] hash index puts 0.0/-0.0 and all NaNs in one bucket; a key
+   with no literal form scans [rel2]. The [q.index-join] rewrite is
+   therefore result-identical, row order included. Degrades to a nested
+   scan when the index is missing at runtime. *)
 let idxjoin_impl ctx values conts =
   match values, conts with
   | [ rel1; rel2; f1; f2 ], [ _ce; cc ] ->
     let oid1 = as_reloid ctx ~what:"idxjoin" rel1
     and oid2 = as_reloid ctx ~what:"idxjoin" rel2 in
     let f1 = Runtime.as_int ~what:"idxjoin" f1 and f2 = Runtime.as_int ~what:"idxjoin" f2 in
+    let field_of fields f = if f >= 0 && f < Array.length fields then Some fields.(f) else None in
     let out = ref [] in
-    let emit fields1 row2 =
-      let fields = Array.append fields1 (Rel.row_tuple ctx row2) in
-      let t = Value.Heap.alloc ctx.Runtime.heap (Value.Tuple fields) in
-      out := Value.Oidv t :: !out
+    let emit_if_identical fields1 v1 row2 =
+      let fields2 = Rel.row_tuple ctx row2 in
+      match field_of fields2 f2 with
+      | Some v2 when Value.identical v1 v2 ->
+        let t = Value.Heap.alloc ctx.Runtime.heap (Value.Tuple (Array.append fields1 fields2)) in
+        out := Value.Oidv t :: !out
+      | _ -> ()
+    in
+    let scan fields1 v1 =
+      Rel.iteri ctx oid2 (fun _ row2 ->
+          Runtime.charge ctx 2;
+          Option.iter (fun v1 -> emit_if_identical fields1 v1 row2) v1)
     in
     (match Rel.find_index ctx oid2 f2 with
     | Some ix when Rel.index_field ix = f2 ->
       Rel.iteri ctx oid1 (fun _ row1 ->
           Runtime.charge ctx 2;
           let fields1 = Rel.row_tuple ctx row1 in
-          if f1 >= 0 && f1 < Array.length fields1 then
-            match Value.to_literal fields1.(f1) with
+          match field_of fields1 f1 with
+          | Some v1 -> (
+            match Value.to_literal v1 with
             | Some key ->
               List.iter
                 (fun pos ->
                   Runtime.charge ctx 3;
-                  emit fields1 (Rel.nth ctx oid2 pos))
+                  emit_if_identical fields1 v1 (Rel.nth ctx oid2 pos))
                 (Rel.index_positions ix key)
-            | None -> ())
+            | None -> scan fields1 (Some v1))
+          | None -> ())
     | _ ->
-      (* no index at runtime: degrade to the nested scan, with the same
-         key equality the index uses (structural on literal forms) *)
+      (* no index at runtime: degrade to the nested scan *)
       Rel.iteri ctx oid1 (fun _ row1 ->
           let fields1 = Rel.row_tuple ctx row1 in
-          let key1 =
-            if f1 >= 0 && f1 < Array.length fields1 then Value.to_literal fields1.(f1)
-            else None
-          in
-          Rel.iteri ctx oid2 (fun _ row2 ->
-              Runtime.charge ctx 2;
-              match key1 with
-              | None -> ()
-              | Some k1 -> (
-                let fields2 = Rel.row_tuple ctx row2 in
-                if f2 >= 0 && f2 < Array.length fields2 then
-                  match Value.to_literal fields2.(f2) with
-                  | Some k2 when k1 = k2 -> emit fields1 row2
-                  | _ -> ()))));
+          scan fields1 (field_of fields1 f1)));
     let rows = Array.of_list (List.rev !out) in
     Runtime.charge ctx (1 + (2 * Array.length rows));
     ret cc

@@ -31,8 +31,10 @@
       no literal form.
     - [(idxjoin r1 r2 f1 f2 ce cc)] — index-accelerated equi-join: probes
       [r2]'s persistent index on [f2] with each [r1] row's [f1] value,
-      reproducing the nested-loop [join]'s output (row order included);
-      falls back to a nested scan when no index exists.
+      reproducing the output of [join] on [x.[f1] == y.[f2]] (row order
+      included): candidate pairs are re-checked with [==], and a key with
+      no literal form scans [r2]; falls back to a nested scan when no index
+      exists.
     - [(union r1 r2 cc)] — multiset union (row identity preserved).
     - [(inter r1 r2 cc)] / [(diff r1 r2 cc)] — rows of [r1] whose {e field
       contents} do (not) appear in [r2].

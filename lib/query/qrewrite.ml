@@ -124,8 +124,7 @@ let merge_project_rule =
    visible through the other (found by the differential fuzzer:
    (select true R cont(s) (insert s t ...)) must insert into a copy).
    [Alias_consumed_ok] is the layered gate: the syntactic
-   [Sidecond.alias_safe] walk, or the flow-based escape analysis when the
-   bridge is live. *)
+   [Sidecond.alias_safe] walk, or the flow-based escape analysis. *)
 let constant_select_true_rule =
   decl_rule ~name:"q.constant-select" ~fact:"alias-safe source"
     ~doc:

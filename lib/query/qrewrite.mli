@@ -50,8 +50,7 @@ val alias_safe : Tml_core.Ident.t -> Tml_core.Term.app -> bool
     mutate the store or call unknown procedures while the alias is live
     (the differential fuzzer caught an [insert] through the alias mutating
     the base relation).  The gate is layered: a syntactic walk
-    ({!alias_safe}, kept as the fallback when the analysis bridge is
-    disabled) decides the easy cases, and the flow-based escape analysis
+    ({!alias_safe}) decides the easy cases, and the flow-based escape analysis
     of [Tml_analysis.Alias] additionally accepts aliases that only reach
     readers through local procedure bindings. *)
 val constant_select : Rewrite.rule

@@ -5,7 +5,6 @@ type config = {
   optimizer : Optimizer.config;
   inline_oid_limit : int;
   inline_budget : int;
-  use_ptml : bool;
   use_query_rules : bool;
   use_speccache : bool;
 }
@@ -15,7 +14,6 @@ let default =
     optimizer = Optimizer.o2;
     inline_oid_limit = 160;
     inline_budget = 96;
-    use_ptml = true;
     use_query_rules = true;
     use_speccache = true;
   }
@@ -155,79 +153,71 @@ let validate_result ~closed ~leftover optimized =
    the full summary so later reflective optimizations of callers that
    reference this function as a literal OID can reuse it. *)
 let effect_attrs optimized =
-  if not !Tml_analysis.Bridge.enabled then []
-  else
-    match Tml_analysis.Infer.summary_of_value optimized with
-    | Some summ ->
-      let s = Tml_analysis.Infer.strip summ in
-      [
-        "effect_class", Tml_analysis.Effsig.class_rank s.Tml_analysis.Effsig.eff;
-        "diverges", (if s.Tml_analysis.Effsig.diverges then 1 else 0);
-      ]
-    | None -> []
-
-let cache_summary oid optimized =
-  if !Tml_analysis.Bridge.enabled then Tml_analysis.Cache.remember oid optimized
+  match Tml_analysis.Infer.summary_of_value optimized with
+  | Some summ ->
+    let s = Tml_analysis.Infer.strip summ in
+    [
+      "effect_class", Tml_analysis.Effsig.class_rank s.Tml_analysis.Effsig.eff;
+      "diverges", (if s.Tml_analysis.Effsig.diverges then 1 else 0);
+    ]
+  | None -> []
 
 (* The store-aware rules as DSL descriptors (closure escape hatch: they
    consult the live heap, so their verification is the oracle battery, not
    a derived obligation).  Each declares its dispatch heads for the
    indexed matcher; a head set that under-declared would silently lose
-   fires, which the indexed≡linear property test would catch. *)
+   fires, which the indexed≡linear property test would catch.  One
+   constructor per rule, taking the closure, serves both the live rule
+   and the audit descriptor. *)
 
-let store_fold_doc =
-  "Fold a field read / size probe of an immutable store object (vector, \
-   tuple) to the literal it must produce."
+let store_fold_rule =
+  Tml_rules.Dsl.closure_rule ~name:"reflect.store-fold"
+    ~doc:
+      "Fold a field read / size probe of an immutable store object (vector, \
+       tuple) to the literal it must produce."
+    ~heads:[ Tml_rules.Dsl.Head_prim "[]"; Tml_rules.Dsl.Head_prim "size" ]
 
-let inline_oid_doc =
-  "Inline a stored function applied as a literal OID, closing over its \
-   literal R-value bindings (budgeted, size-limited)."
+let inline_oid_rule =
+  Tml_rules.Dsl.closure_rule ~name:"reflect.inline-oid"
+    ~doc:
+      "Inline a stored function applied as a literal OID, closing over its \
+       literal R-value bindings (budgeted, size-limited)."
+    ~heads:[ Tml_rules.Dsl.Head_oid ]
 
-let inline_query_arg_doc =
-  "Inline a stored function appearing as the procedure argument of a \
-   query operator, exposing its body to the algebraic rules."
+let inline_query_arg_rule =
+  Tml_rules.Dsl.closure_rule ~name:"reflect.inline-query-arg"
+    ~doc:
+      "Inline a stored function appearing as the procedure argument of a \
+       query operator, exposing its body to the algebraic rules."
+    ~heads:(List.map (fun p -> Tml_rules.Dsl.Head_prim p) query_fn_arg_prims)
 
 let reflect_rules ctx config ~budget ~count =
-  let open Tml_rules.Dsl in
   [
-    closure_rule ~name:"reflect.store-fold" ~doc:store_fold_doc
-      ~heads:[ Head_prim "[]"; Head_prim "size" ]
-      (store_fold ctx);
-    closure_rule ~name:"reflect.inline-oid" ~doc:inline_oid_doc ~heads:[ Head_oid ]
-      (inline_oid ctx ~budget ~limit:config.inline_oid_limit ~count);
-    closure_rule ~name:"reflect.inline-query-arg" ~doc:inline_query_arg_doc
-      ~heads:(List.map (fun p -> Head_prim p) query_fn_arg_prims)
-      (inline_query_arg ctx ~budget ~limit:config.inline_oid_limit ~count);
+    store_fold_rule (store_fold ctx);
+    inline_oid_rule (inline_oid ctx ~budget ~limit:config.inline_oid_limit ~count);
+    inline_query_arg_rule (inline_query_arg ctx ~budget ~limit:config.inline_oid_limit ~count);
   ]
 
-(* Representative descriptors for the audit registry (the closures are
-   never run there). *)
 let rule_descriptors =
-  let open Tml_rules.Dsl in
-  [
-    closure_rule ~name:"reflect.store-fold" ~doc:store_fold_doc
-      ~heads:[ Head_prim "[]"; Head_prim "size" ]
-      (fun _ -> None);
-    closure_rule ~name:"reflect.inline-oid" ~doc:inline_oid_doc ~heads:[ Head_oid ]
-      (fun _ -> None);
-    closure_rule ~name:"reflect.inline-query-arg" ~doc:inline_query_arg_doc
-      ~heads:(List.map (fun p -> Head_prim p) query_fn_arg_prims)
-      (fun _ -> None);
-  ]
+  List.map
+    (fun rule -> rule (fun _ -> None))
+    [ store_fold_rule; inline_oid_rule; inline_query_arg_rule ]
 
 let () = Tml_rules.Index.register_all rule_descriptors
 
-(* The store-aware rule set used by both optimize variants: one dispatch
-   plan over the reflective rules plus (when enabled) the declarative
-   query rules and the store-dependent query closures — head-indexed, or
-   the historical flat list under [tmlc --fno-rule-index]. *)
+(* The store-aware rule set used by both optimize variants: one
+   head-indexed dispatch plan over the reflective rules plus (when
+   enabled) the declarative query rules and the store-dependent query
+   closures. *)
 let store_rules ctx config ~budget ~count =
-  Tml_rules.Index.plan
-    (reflect_rules ctx config ~budget ~count
-    @
-    if config.use_query_rules then
-      Tml_query.Qrewrite.declarative_rules @ Tml_query.Qopt.declarative_runtime_rules ctx
-    else [])
+  [
+    Tml_rules.Index.compile
+      (reflect_rules ctx config ~budget ~count
+      @
+      if config.use_query_rules then
+        Tml_query.Qrewrite.declarative_rules @ Tml_query.Qopt.declarative_runtime_rules ctx
+      else []);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Specialization cache glue                                            *)
@@ -235,17 +225,15 @@ let store_rules ctx config ~budget ~count =
 
 (* Everything that parameterizes the pipeline beyond the callee and the
    store must be part of the cache key; a rendering of the configuration
-   knobs (plus whether the analysis bridge is live) does it. *)
+   knobs does it. *)
 let config_token config =
   let o = config.optimizer in
   let e = o.Optimizer.expand in
-  Printf.sprintf "mr%d;pl%d;ms%d;v%b;inc%b;il%d;yl%d;gl%d;ey%b;xr%d;iol%d;ib%d;p%b;q%b;an%b"
+  Printf.sprintf "mr%d;pl%d;ms%d;v%b;il%d;yl%d;gl%d;ey%b;xr%d;iol%d;ib%d;q%b"
     o.Optimizer.max_rounds o.Optimizer.penalty_limit o.Optimizer.max_steps o.Optimizer.validate
-    o.Optimizer.incremental e.Expand.inline_limit e.Expand.y_inline_limit e.Expand.growth_limit
-    e.Expand.expand_y
+    e.Expand.inline_limit e.Expand.y_inline_limit e.Expand.growth_limit e.Expand.expand_y
     (List.length o.Optimizer.rules)
-    config.inline_oid_limit config.inline_budget config.use_ptml config.use_query_rules
-    !Tml_analysis.Bridge.enabled
+    config.inline_oid_limit config.inline_budget config.use_query_rules
 
 (* OID literals of the closed term: what the analysis bridge may resolve
    through [Analysis.Cache] without touching the heap — recorded as
@@ -274,9 +262,7 @@ let specialize ~config ctx oid (fo : Value.func_obj) =
     ~args:[ ("name", Tml_obs.Trace.Str fo.Value.fo_name); ("oid", Tml_obs.Trace.Int (Oid.to_int oid)) ]
   @@ fun () ->
   let heap = ctx.Runtime.heap in
-  let original_tml =
-    if config.use_ptml then Tml_store.Ptml.decode_value fo.Value.fo_ptml else fo.Value.fo_tml
-  in
+  let original_tml = Tml_store.Ptml.decode_value fo.Value.fo_ptml in
   let fp =
     if config.use_speccache then
       Speccache.fingerprint ~ptml:fo.Value.fo_ptml ~bindings:fo.Value.fo_bindings
@@ -406,7 +392,7 @@ let optimize ?(config = default) ctx oid =
   in
   let new_fo = func_obj ctx new_oid in
   new_fo.Value.fo_bindings <- leftover;
-  cache_summary new_oid optimized;
+  Tml_analysis.Cache.remember new_oid optimized;
   (* attach derived attributes to the persistent system state *)
   new_fo.Value.fo_attrs <- attrs;
   fo.Value.fo_attrs <-
@@ -449,7 +435,7 @@ let optimize_inplace ?(config = default) ctx oid =
   (* the function at [oid] changed: entries specialized against its old
      content (or inlining it into callers) are stale; its summary too *)
   Speccache.invalidate oid;
-  cache_summary oid optimized;
+  Tml_analysis.Cache.remember oid optimized;
   (* the invalidation above deoptimized any compiled-tier entry; rebuild
      it from the freshly optimized code so hot functions stay promoted *)
   Tierup.repromote ctx oid;

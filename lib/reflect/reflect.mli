@@ -29,9 +29,6 @@ type config = {
   inline_budget : int;
       (** total number of cross-abstraction-barrier inlines per
           [optimize] call (bounds recursion unrolling) *)
-  use_ptml : bool;
-      (** decode the function's PTML instead of using the in-memory tree —
-          exercises the persistent path of figure 3 *)
   use_query_rules : bool;
       (** include the query optimizer's rules (figure 4); disabling them
           gives the program-optimizer-only ablation of experiment E9 *)
@@ -74,10 +71,16 @@ val inline_oid :
 val inline_query_arg :
   Tml_vm.Runtime.ctx -> budget:int ref -> limit:int -> count:int ref -> Rewrite.rule
 
+(** [reflect_rules ctx config ~budget ~count] — {!store_fold},
+    {!inline_oid} and {!inline_query_arg} as DSL rules over the live
+    [ctx], as one optimization installs them (next to the query rules). *)
+val reflect_rules :
+  Tml_vm.Runtime.ctx -> config -> budget:int ref -> count:int ref -> Tml_rules.Dsl.rule list
+
 (** The store-aware rules as registry descriptors (name, fact, doc,
-    dispatch heads) for the audit surface ([tmllint --rules]); their
-    closures are context-free stand-ins that never fire — the live
-    closures are built per-optimization with the real [ctx]. *)
+    dispatch heads) for the audit surface ([tmllint --rules]): the
+    constructors behind {!reflect_rules} applied to a closure that never
+    fires. *)
 val rule_descriptors : Tml_rules.Dsl.rule list
 
 (** [optimize ?config ctx oid] — the reflective optimizer.

@@ -67,13 +67,11 @@ let rec alias_safe tmp (a : app) =
   && List.for_all sub_ok (a.func :: a.args)
 
 (* The aliasing gate is layered: the syntactic [alias_safe] walk decides
-   the easy cases, and when the analysis bridge is enabled the flow-based
-   [Tml_analysis.Alias.select_alias_ok] additionally accepts regions where
-   the alias only reaches readers through local procedure bindings — calls
-   [alias_safe] must reject outright. *)
-let alias_ok tmp body =
-  alias_safe tmp body
-  || (!Tml_analysis.Bridge.enabled && Tml_analysis.Alias.select_alias_ok ~tmp body)
+   the easy cases, and the flow-based [Tml_analysis.Alias.select_alias_ok]
+   additionally accepts regions where the alias only reaches readers
+   through local procedure bindings — calls [alias_safe] must reject
+   outright. *)
+let alias_ok tmp body = alias_safe tmp body || Tml_analysis.Alias.select_alias_ok ~tmp body
 
 (* A conservative syntactic purity check: only continuation-variable jumps,
    β-redexes and primitives of effect class [Pure] (excluding [Y], whose

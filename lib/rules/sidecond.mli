@@ -18,8 +18,7 @@ val reader_positions : string -> int list
 val alias_safe : Ident.t -> Term.app -> bool
 
 (** [alias_ok tmp body] — the layered aliasing gate: {!alias_safe}, or
-    (when the analysis bridge is enabled) the flow-based
-    [Tml_analysis.Alias.select_alias_ok] escape analysis. *)
+    the flow-based [Tml_analysis.Alias.select_alias_ok] escape analysis. *)
 val alias_ok : Ident.t -> Term.app -> bool
 
 (** [pure_app a] — only continuation jumps, β-redexes and [Pure]

@@ -227,10 +227,6 @@ let test_gated_constant_select () =
   let reduce () = Rewrite.reduce_app ~rules:Tml_query.Qopt.static_rules (parse src) in
   let with_analysis = reduce () in
   check tint "analysis gate fires σtrue" 0 (count_prim "select" with_analysis);
-  Bridge.enabled := false;
-  let without = reduce () in
-  Bridge.enabled := true;
-  check tint "syntactic fallback keeps the select" 1 (count_prim "select" without);
   (* the analysis gate must stay a superset: the fuzzer's minimized
      mutation counterexample is still rejected *)
   let mut =

@@ -811,21 +811,42 @@ let rows_equal ctx name r1 r2 =
 
 let test_prim_idxjoin () =
   let ctx = fresh_ctx () in
+  (* real keys on which the [Literal.t] hash index and [==] disagree:
+     0.0 and -0.0 share a bucket but are not identical, and two NaNs with
+     different bit patterns share a bucket while a NaN is identical to
+     itself *)
+  let nan2 = Int64.float_of_bits 0x7FF0000000000002L in
   let r1 =
     Rel.of_rows ctx ~name:"a"
-      (Rel.tuples ctx [ [| Value.Int 1; Value.Int 10 |]; [| Value.Int 2; Value.Int 20 |];
-        [| Value.Int 2; Value.Int 21 |] ])
+      (Rel.tuples ctx
+         [
+           [| Value.Int 1; Value.Int 10 |];
+           [| Value.Int 2; Value.Int 20 |];
+           [| Value.Int 2; Value.Int 21 |];
+           [| Value.Real 0.0; Value.Int 30 |];
+           [| Value.Real (-0.0); Value.Int 31 |];
+           [| Value.Real Float.nan; Value.Int 32 |];
+         ])
   in
   let r2 =
     Rel.of_rows ctx ~name:"b"
-      (Rel.tuples ctx [ [| Value.Int 2; Value.Int 200 |]; [| Value.Int 3; Value.Int 300 |];
-        [| Value.Int 2; Value.Int 201 |] ])
+      (Rel.tuples ctx
+         [
+           [| Value.Int 2; Value.Int 200 |];
+           [| Value.Int 3; Value.Int 300 |];
+           [| Value.Int 2; Value.Int 201 |];
+           [| Value.Real (-0.0); Value.Int 310 |];
+           [| Value.Real Float.nan; Value.Int 320 |];
+           [| Value.Real nan2; Value.Int 321 |];
+         ])
   in
   let bindings = [ "r1", Value.Oidv r1; "r2", Value.Oidv r2 ] in
   let naive_src =
     Printf.sprintf "(join %s r1 r2 ce! k!)" (join_pred ~f1:0 ~f2:0)
   in
   let naive = run_to_rel ctx bindings naive_src in
+  (* 2×2 Int pairs, -0.0 with itself, NaN with itself *)
+  check tint "join matches by bit pattern" 6 (Array.length (Rel.rows ctx naive));
   (* degrade path: no index on r2.0 yet *)
   let degraded = run_to_rel ctx bindings "(idxjoin r1 r2 0 0 ce! k!)" in
   rows_equal ctx "idxjoin degrade ≡ join" naive degraded;
@@ -996,11 +1017,24 @@ let prop_indexselect_equiv_scan =
           Array.length a1 = Array.length a2
           && Array.for_all2 (fun x y -> Value.identical x y) a1 a2))
 
+(* join keys: small Ints plus the reals on which the [Literal.t] hash
+   index and [==] disagree (signed zeros, NaN) *)
+let gen_join_rows =
+  let key =
+    QCheck2.Gen.(
+      frequency
+        [
+          (4, map (fun i -> Value.Int i) (int_bound 7));
+          (1, oneofl [ Value.Real 0.0; Value.Real (-0.0); Value.Real Float.nan ]);
+        ])
+  in
+  QCheck2.Gen.(list_size (int_bound 30) (map2 (fun a b -> [| a; b |]) key key))
+
 let prop_planned_join_equiv_naive =
   QCheck2.Test.make ~name:"planned join chain ≡ naive join chain" ~count:60
     QCheck2.Gen.(
-      triple gen_rows gen_rows
-        (triple gen_rows (int_bound 3) (int_bound 1)))
+      triple gen_join_rows gen_join_rows
+        (triple gen_join_rows (int_bound 3) (int_bound 1)))
     (fun (rows_a, rows_b, (rows_c, ixmask, g_b)) ->
       with_page_size 3 (fun () ->
           let ctx = fresh_ctx () in

@@ -82,18 +82,6 @@ let test_attrs_cached () =
       (List.mem_assoc "optimized_as" fo.Value.fo_attrs)
   | _ -> Alcotest.fail "not a function"
 
-let test_ptml_path () =
-  (* decoding from PTML must agree with the in-memory tree *)
-  let program = Link.load abs_source in
-  let ctx = program.Link.ctx in
-  let abs_oid = Link.function_oid program "cabs" in
-  let r1 = Reflect.optimize ~config:{ Reflect.default with Reflect.use_ptml = true } ctx abs_oid in
-  let r2 =
-    Reflect.optimize ~config:{ Reflect.default with Reflect.use_ptml = false } ctx abs_oid
-  in
-  check tbool "same optimization from PTML and memory" true
-    (Term.alpha_equal_value r1.Reflect.optimized_tml r2.Reflect.optimized_tml)
-
 let test_inline_budget () =
   let program = Link.load abs_source in
   let ctx = program.Link.ctx in
@@ -402,7 +390,6 @@ let () =
         [
           Alcotest.test_case "section 4.1 optimizedAbs" `Quick test_optimized_abs;
           Alcotest.test_case "derived attributes cached" `Quick test_attrs_cached;
-          Alcotest.test_case "PTML and memory paths agree" `Quick test_ptml_path;
           Alcotest.test_case "inline budget respected" `Quick test_inline_budget;
           Alcotest.test_case "store folds respect mutability" `Quick test_store_fold;
           Alcotest.test_case "in-place with recursion" `Quick test_inplace_recursive;

@@ -229,6 +229,28 @@ let test_registry () =
     [ "q.merge-select"; "q.constant-select"; "q.index-select"; "reflect.store-fold";
       "reflect.inline-oid" ]
 
+(* The audit registry and the dispatcher must describe the same rules: for
+   a live context, the registered (name, heads) pairs are exactly those of
+   the rules one reflective optimization installs. *)
+let test_registry_matches_live_rules () =
+  Qopt.install ();
+  let ctx = Tml_vm.Runtime.create (Tml_vm.Value.Heap.create ()) in
+  let live =
+    Qrewrite.declarative_rules
+    @ Qopt.declarative_runtime_rules ctx
+    @ Tml_reflect.Reflect.reflect_rules ctx Tml_reflect.Reflect.default ~budget:(ref 0)
+        ~count:(ref 0)
+  in
+  let shape rules =
+    List.sort compare
+      (List.map
+         (fun r -> r.Dsl.name, List.map (Format.asprintf "%a" Dsl.pp_head) r.Dsl.heads)
+         rules)
+  in
+  Alcotest.(check (list (pair string (list string))))
+    "registry (name, heads) = live rules" (shape live)
+    (shape (Index.registered ()))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -261,5 +283,7 @@ let () =
           Alcotest.test_case "strict fire names" `Quick test_strict_names;
           Alcotest.test_case "rules metrics source" `Quick test_rules_metrics_source;
           Alcotest.test_case "registry population" `Quick test_registry;
+          Alcotest.test_case "registry matches the live rules" `Quick
+            test_registry_matches_live_rules;
         ] );
     ]
