@@ -30,8 +30,7 @@ let print_output out =
 
 let options_of ~direct ~static_opt =
   {
-    Link.default_options with
-    mode = (if direct then Lower.Direct else Lower.Library);
+    Link.mode = (if direct then Lower.Direct else Lower.Library);
     static_opt =
       Option.map Tml_analysis.Bridge.with_analysis
         (match static_opt with

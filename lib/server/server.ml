@@ -11,7 +11,6 @@ type config = {
   commit_window : float;
   staged_cap : int;
   fsync : bool;
-  stripe : int;
   slow_ms : float;  (* slow-query threshold in ms; 0 = log disabled *)
   slowlog_limit : int;
 }
@@ -24,7 +23,6 @@ let default_config ~store_path ~addr =
     commit_window = 0.002;
     staged_cap = 16 * 1024 * 1024;
     fsync = true;
-    stripe = 1 lsl 16;
     slow_ms = 0.;
     slowlog_limit = 128;
   }
@@ -56,9 +54,6 @@ type session_state = {
   ss_fd : Unix.file_descr;
   ss_pstore : Pstore.t;
   ss_repl : Repl.session;
-  mutable ss_base : int;  (* current OID allocation stripe *)
-  mutable ss_limit : int;
-  mutable ss_poisoned : string option;
   mutable ss_defined : bool;  (* manifest changed since the last commit *)
   mutable ss_staged_bytes : int;
   mutable ss_phase : string;  (* what the session is doing, for :top *)
@@ -82,7 +77,7 @@ type t = {
   sessions : (int, session_state) Hashtbl.t;  (* live sessions, for :top *)
   mutable threads : Thread.t list;
   mutable next_session : int;
-  mutable next_base : int;
+  mutable cursor : int;  (* next fresh OID, server-wide; guarded by eval_lock *)
   mutable running : bool;
   mutable accept_thread : Thread.t option;
   mutable committer_thread : Thread.t option;
@@ -114,13 +109,6 @@ let active_sessions t =
   n
 
 let slowlog t = t.slowlog
-
-let alloc_stripe t =
-  Mutex.lock t.clock;
-  let b = t.next_base in
-  t.next_base <- b + t.config.stripe;
-  Mutex.unlock t.clock;
-  b
 
 exception Session_error of string
 
@@ -205,25 +193,20 @@ let eval_locked t f =
 
 let heap_of ss = (Repl.ctx ss.ss_repl).Runtime.heap
 
+(* Every session allocates under the eval lock, from the one server-wide
+   cursor: the session's heap first grows to the cursor, so its fresh
+   OIDs lie past every OID any session has handed out, and the cursor
+   then moves past whatever this section allocated — also when it
+   raises, since allocations made before the raise stay in the heap. *)
+let session_locked t ss f =
+  eval_locked t (fun () ->
+      let heap = heap_of ss in
+      Value.Heap.reserve heap t.cursor;
+      Fun.protect ~finally:(fun () -> t.cursor <- Value.Heap.size heap) f)
+
 (* After an eval: refresh the staged-byte figure the admission check
-   reads, and keep the allocation cursor inside this session's stripe —
-   re-stripe at half use; past the end, fresh OIDs may collide with
-   another session's stripe, so the session is poisoned (its commits
-   refused) rather than allowed to corrupt the store. *)
+   reads. *)
 let after_eval t ss =
-  let heap = heap_of ss in
-  let size = Value.Heap.size heap in
-  if size > ss.ss_limit then
-    ss.ss_poisoned <-
-      Some
-        (Printf.sprintf "allocation stripe overflow (oid %d past %d)" (size - 1)
-           ss.ss_limit)
-  else if size > ss.ss_base + (t.config.stripe / 2) then begin
-    let base = alloc_stripe t in
-    Value.Heap.reserve heap base;
-    ss.ss_base <- base;
-    ss.ss_limit <- base + t.config.stripe
-  end;
   if t.config.staged_cap > 0 then
     ss.ss_staged_bytes <-
       List.fold_left (fun a (_, p) -> a + String.length p) 0 (Pstore.collect ss.ss_pstore)
@@ -385,10 +368,7 @@ let render_top t =
       Printf.bprintf buf "  %-5d %-6d %-6d %-11d %-12d %s\n" ss.ss_id
         (Pstore.epoch ss.ss_pstore) ss.ss_requests
         (Pstore.uncommitted_count ss.ss_pstore)
-        ss.ss_staged_bytes
-        (match ss.ss_poisoned with
-        | Some _ -> "poisoned"
-        | None -> ss.ss_phase))
+        ss.ss_staged_bytes ss.ss_phase)
     (List.sort (fun a b -> compare a.ss_id b.ss_id) sessions);
   Buffer.contents buf
 
@@ -397,8 +377,6 @@ let render_top t =
 let eval_directive t ss line =
   match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
   | [ ":top" ] -> render_top t
-  | [ ":slow" ] -> Format.asprintf "%a" Slowlog.pp t.slowlog
-  | [ ":slow"; "json" ] -> Slowlog.to_json t.slowlog ^ "\n"
   | [ ":prof" ] -> Format.asprintf "%a" Vmprof.pp ()
   | [ ":prof"; "collapsed" ] -> Vmprof.collapsed ()
   | [ ":prof"; "reset" ] ->
@@ -426,54 +404,48 @@ let eval_directive t ss line =
   | _ -> sfail "unknown server directive %s" line
 
 let handle_eval t ss ?trace src =
-  match ss.ss_poisoned with
-  | Some why -> Wire.Error ("session poisoned: " ^ why ^ "; reconnect")
-  | None ->
-    if t.config.staged_cap > 0 && ss.ss_staged_bytes > t.config.staged_cap then
-      Wire.Busy
-        (Printf.sprintf "staged bytes %d exceed per-session cap %d; commit first"
-           ss.ss_staged_bytes t.config.staged_cap)
-    else begin
-      Metrics.inc t.m_evals;
-      eval_locked t (fun () ->
-          let probe = slow_probe ss in
-          let out =
-            let line = String.trim src in
-            if line <> "" && line.[0] = ':' then eval_directive t ss line
-            else begin
-              let r = Repl.feed ss.ss_repl src in
-              (* defining (or redefining) names dirties the manifest:
-                 this session's next commit must stage and re-root it *)
-              if r.Repl.defined <> [] then ss.ss_defined <- true;
-              render_feed r
-            end
-          in
-          after_eval t ss;
-          note_slow t ss ?trace ~kind:"eval" ~src ~rules:true probe;
-          Wire.Result out)
-    end
+  if t.config.staged_cap > 0 && ss.ss_staged_bytes > t.config.staged_cap then
+    Wire.Busy
+      (Printf.sprintf "staged bytes %d exceed per-session cap %d; commit first"
+         ss.ss_staged_bytes t.config.staged_cap)
+  else begin
+    Metrics.inc t.m_evals;
+    session_locked t ss (fun () ->
+        let probe = slow_probe ss in
+        let out =
+          let line = String.trim src in
+          if line <> "" && line.[0] = ':' then eval_directive t ss line
+          else begin
+            let r = Repl.feed ss.ss_repl src in
+            (* defining (or redefining) names dirties the manifest:
+               this session's next commit must stage and re-root it *)
+            if r.Repl.defined <> [] then ss.ss_defined <- true;
+            render_feed r
+          end
+        in
+        after_eval t ss;
+        note_slow t ss ?trace ~kind:"eval" ~src ~rules:true probe;
+        Wire.Result out)
+  end
 
 let handle_commit t ss ?trace () =
-  match ss.ss_poisoned with
-  | Some why -> Wire.Error ("session poisoned: " ^ why ^ "; reconnect")
-  | None -> (
-    let prepared = eval_locked t (fun () -> prepare_commit ss) in
-    match Trace.with_span ~cat:"server" "commit.submit" (fun () ->
-              submit_commit t ss prepared)
-    with
-    | Cr_committed { epoch; objects; group; gid; _ } ->
-      (* the join record between this request's trace and the fsync
-         group that sealed it *)
-      Trace.instant ~cat:"server" "commit.sealed"
-        ~args:
-          [
-            ("session", Trace.Int ss.ss_id);
-            ("trace", Trace.Int (match trace with Some tc -> tc.Wire.tc_id | None -> 0));
-            ("group", Trace.Int gid);
-            ("epoch", Trace.Int epoch);
-          ];
-      Wire.Committed { epoch; objects; group }
-    | Cr_conflict oid -> Wire.Conflict { oid })
+  let prepared = session_locked t ss (fun () -> prepare_commit ss) in
+  match
+    Trace.with_span ~cat:"server" "commit.submit" (fun () -> submit_commit t ss prepared)
+  with
+  | Cr_committed { epoch; objects; group; gid; _ } ->
+    (* the join record between this request's trace and the fsync
+       group that sealed it *)
+    Trace.instant ~cat:"server" "commit.sealed"
+      ~args:
+        [
+          ("session", Trace.Int ss.ss_id);
+          ("trace", Trace.Int (match trace with Some tc -> tc.Wire.tc_id | None -> 0));
+          ("group", Trace.Int gid);
+          ("epoch", Trace.Int epoch);
+        ];
+    Wire.Committed { epoch; objects; group }
+  | Cr_conflict oid -> Wire.Conflict { oid }
 
 let handle_stat ss =
   Wire.Stats
@@ -532,8 +504,8 @@ let handle_req t ss ?trace req =
     | Wire.Eval src -> handle_eval t ss ?trace src
     | Wire.Commit -> handle_commit t ss ?trace ()
     | Wire.Stat -> handle_stat ss
-    | Wire.Explain name -> eval_locked t (fun () -> handle_explain ss name)
-    | Wire.Fetch name -> eval_locked t (fun () -> handle_fetch ss name)
+    | Wire.Explain name -> session_locked t ss (fun () -> handle_explain ss name)
+    | Wire.Fetch name -> session_locked t ss (fun () -> handle_fetch ss name)
     | Wire.Pull oid -> handle_pull t ss ?trace oid
     | Wire.Slowlog { json } ->
       Wire.Stats
@@ -557,22 +529,19 @@ let handle_req t ss ?trace req =
 
 let open_session t ~id ~fd =
   eval_locked t (fun () ->
-      let base = alloc_stripe t in
-      let pstore = Pstore.open_snapshot t.log ~alloc_base:base in
+      let pstore = Pstore.open_snapshot t.log ~alloc_base:t.cursor in
       match Repl.restore ~preserve_caches:true pstore with
       | exception e ->
         Pstore.close pstore;
         raise e
       | repl ->
+        t.cursor <- Value.Heap.size (Pstore.heap pstore);
         let ss =
           {
             ss_id = id;
             ss_fd = fd;
             ss_pstore = pstore;
             ss_repl = repl;
-            ss_base = base;
-            ss_limit = base + t.config.stripe;
-            ss_poisoned = None;
             ss_defined = false;
             ss_staged_bytes = 0;
             ss_phase = "idle";
@@ -887,7 +856,6 @@ let start config =
   bootstrap config;
   let log = Ls.open_ ~fsync:config.fsync config.store_path in
   let listen_fd = listen_on config.addr in
-  let round_up n k = (n + k - 1) / k * k in
   let t =
     {
       config;
@@ -904,7 +872,7 @@ let start config =
       sessions = Hashtbl.create 32;
       threads = [];
       next_session = 0;
-      next_base = round_up (Ls.max_oid log + 1) config.stripe;
+      cursor = Ls.max_oid log + 1;
       running = true;
       accept_thread = None;
       committer_thread = None;

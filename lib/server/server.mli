@@ -25,10 +25,12 @@
     concurrency win lives; warm specializations made by one session serve
     every other ([Repl.restore ~preserve_caches:true]).
 
-    New OIDs are allocated from per-session {e stripes} handed out by the
-    server, so concurrent sessions never collide on fresh OIDs; a session
-    that overruns its stripe faster than it can be re-striped is poisoned
-    (its commits are refused) rather than allowed to corrupt the store. *)
+    All sessions share one OID space.  New OIDs come from a single
+    server-wide cursor that only moves under the eval lock: each locked
+    section first extends the session's heap to the cursor and then moves
+    the cursor past what it allocated, so concurrent sessions never
+    collide on fresh OIDs.  A restart starts the cursor just past the
+    store's highest sealed OID. *)
 
 type config = {
   store_path : string;
@@ -37,7 +39,6 @@ type config = {
   commit_window : float;  (** seconds the committer waits to batch a group *)
   staged_cap : int;  (** per-session staged-byte cap; [Eval] past it gets [Busy] *)
   fsync : bool;
-  stripe : int;  (** OIDs per session allocation stripe *)
   slow_ms : float;
       (** [Eval]/[Pull] requests slower than this (milliseconds) land in
           the persistent slow-query log ([store_path ^ ".slowlog"]);
@@ -47,7 +48,7 @@ type config = {
 
 val default_config : store_path:string -> addr:Wire.addr -> config
 (** [max_clients = 64], [commit_window = 2ms], [staged_cap = 16 MiB],
-    [fsync = true], [stripe = 65536], [slow_ms = 0.] (off),
+    [fsync = true], [slow_ms = 0.] (off),
     [slowlog_limit = 128] *)
 
 type t

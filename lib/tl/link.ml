@@ -4,10 +4,9 @@ open Tml_vm
 type options = {
   mode : Lower.mode;
   static_opt : Optimizer.config option;
-  include_stdlib : bool;
 }
 
-let default_options = { mode = Lower.Library; static_opt = None; include_stdlib = true }
+let default_options = { mode = Lower.Library; static_opt = None }
 
 let stdlib_module_names = [ "intlib"; "reallib"; "arraylib"; "mathlib"; "strlib"; "io" ]
 
@@ -19,11 +18,7 @@ let is_stdlib_name name =
 let compile ?(options = default_options) src =
   Tml_query.Qopt.install ();
   let program = Parser.parse_program src in
-  let tprog =
-    if options.include_stdlib then
-      Typecheck.check_with_prelude ~prelude:(Stdlib_tl.program ()) program
-    else Typecheck.check program
-  in
+  let tprog = Typecheck.check_with_prelude ~prelude:(Stdlib_tl.program ()) program in
   let compiled = Lower.lower_program ~mode:options.mode tprog in
   match options.static_opt with
   | None -> compiled

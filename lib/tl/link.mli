@@ -17,7 +17,6 @@ type options = {
   static_opt : Optimizer.config option;
       (** optimize each definition locally at compile time (experiment E1's
           "static" level); [None] = no optimization *)
-  include_stdlib : bool;
 }
 
 val default_options : options

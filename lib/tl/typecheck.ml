@@ -574,10 +574,6 @@ let check_def genv (def : def) : tdef =
     { d_name = canonical genv name; d_params = []; d_ret = vty; d_body = tbody;
       d_is_fun = false }
 
-let fresh_genv allow_any =
-  { modules = Hashtbl.create 16; globals = Hashtbl.create 32; declared = Hashtbl.create 32;
-    allow_any; current_module = None }
-
 let combine_mains = function
   | [] -> None
   | [ m ] -> Some m
@@ -605,8 +601,6 @@ let check_items ?(history = []) genv items =
   let tdefs, mains = List.split (List.map check_item items) in
   { tdefs = List.concat tdefs; tmain = combine_mains (List.concat mains) }
 
-let check ?(allow_any = false) program = check_items (fresh_genv allow_any) program
-
 (* ------------------------------------------------------------------ *)
 (* Incremental checking                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -624,7 +618,10 @@ let copy_genv g =
 let copy env = { env with g = copy_genv env.g }
 
 let of_prelude prelude =
-  let base = fresh_genv true in
+  let base =
+    { modules = Hashtbl.create 16; globals = Hashtbl.create 32; declared = Hashtbl.create 32;
+      allow_any = true; current_module = None }
+  in
   let p = check_items base prelude in
   if p.tmain <> None then invalid_arg "Typecheck.of_prelude: prelude has do-blocks";
   base.allow_any <- false;

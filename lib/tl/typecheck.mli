@@ -90,10 +90,6 @@ type tprogram = {
 
 exception Type_error of pos * string
 
-(** [check ?allow_any program] type-checks a program.
-    @raise Type_error *)
-val check : ?allow_any:bool -> program -> tprogram
-
 (** [check_with_prelude ~prelude program] checks [prelude] (with [Any]
     allowed) followed by [program] (without), sharing one global scope —
     how the standard library is injected. *)

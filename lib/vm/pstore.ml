@@ -43,9 +43,6 @@ let cached_clean_count t = Lru.length t.lru
 let set_fsync t b = Ls.set_fsync t.store b
 let check_open t = if t.closed then fail "persistent store %s is closed" (path t)
 
-let uncommitted_count t =
-  Hashtbl.length t.dirty + max 0 (Value.Heap.size t.heap - t.watermark)
-
 (* Mutable objects observed through an access may be updated in place
    behind the heap's back, so any access dirties them; immutable kinds
    stay clean and evictable. Relations, indexes and stats are mutable
@@ -209,9 +206,11 @@ let to_write_oids t =
   let to_write = Hashtbl.create 64 in
   Hashtbl.iter (fun ix () -> Hashtbl.replace to_write ix ()) t.dirty;
   for ix = t.watermark to Value.Heap.size t.heap - 1 do
-    Hashtbl.replace to_write ix ()
+    if Value.Heap.is_loaded t.heap (Oid.of_int ix) then Hashtbl.replace to_write ix ()
   done;
   List.sort compare (Hashtbl.fold (fun ix () acc -> ix :: acc) to_write [])
+
+let uncommitted_count t = List.length (to_write_oids t)
 
 let encode_at t ix =
   match Value.Heap.peek t.heap (Oid.of_int ix) with
@@ -275,7 +274,9 @@ let mark_committed t sn =
   (* this session's writes are now the sealed versions at [sn]'s epoch;
      anything it only read may have been superseded by other writers in
      the same or earlier groups, so evict those and every clean cached
-     object — they re-fault on demand against the new epoch *)
+     object — they re-fault on demand against the new epoch.  Every OID
+     sealed at that epoch becomes addressable and counts as pre-existing,
+     including those other sessions allocated above this heap's own. *)
   (match t.snap with
   | Some old -> Ls.release t.store old
   | None -> ());
@@ -293,7 +294,9 @@ let mark_committed t sn =
     | None -> continue_ := false
     | Some ix -> Value.Heap.evict t.heap (Oid.of_int ix)
   done;
-  t.watermark <- max t.watermark (Value.Heap.size t.heap)
+  let top = max (Value.Heap.size t.heap) (Ls.snapshot_max_oid sn + 1) in
+  Value.Heap.reserve t.heap top;
+  t.watermark <- max t.watermark top
 
 let compact t =
   check_open t;

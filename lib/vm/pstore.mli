@@ -47,10 +47,11 @@ val open_snapshot :
     already-open (possibly shared) log: it pins a
     {!Tml_store.Log_store.snapshot} at the current committed epoch and
     faults every object from that epoch, so concurrent commits by other
-    sessions are invisible.  New allocations start at [alloc_base] — the
-    server hands each session a disjoint OID stripe so concurrently
-    staged objects never collide.  {!commit} is refused on such a store;
-    use {!collect} / {!mark_committed} with a group committer.
+    sessions are invisible.  New allocations start at [alloc_base]; a
+    server keeps concurrently staged objects apart by growing each
+    session's heap (with [Value.Heap.reserve]) past every OID it has
+    handed out before the session allocates.  {!commit} is refused on such
+    a store; use {!collect} / {!mark_committed} with a group committer.
     @raise Store_error if [alloc_base] overlaps already-sealed OIDs *)
 
 val close : t -> unit
@@ -85,9 +86,12 @@ val collect : t -> (int * string) list
 val mark_committed : t -> Tml_store.Log_store.snapshot -> unit
 (** after the group committer sealed this session's last {!collect}:
     adopt [snapshot] (pinned at the sealing epoch) as the new read view,
-    clear dirty tracking, advance the watermark, and evict read-only and
-    clean cached copies so later dereferences re-fault against the new
-    epoch *)
+    clear dirty tracking, and evict read-only and clean cached copies so
+    later dereferences re-fault against the new epoch.  The heap's
+    allocation point and the watermark both rise past this session's heap
+    and every OID sealed at that epoch, so objects other sessions sealed
+    are addressable and, when only read, left out of the next
+    {!collect}. *)
 
 val snapshot : t -> Tml_store.Log_store.snapshot option
 (** the pinned read view, when snapshot-backed *)
@@ -111,8 +115,10 @@ val dirty_count : t -> int
 (** objects pinned for the next commit *)
 
 val uncommitted_count : t -> int
-(** dirty plus never-committed objects — what a commit (or {!collect})
-    would consider writing; what [tmlsh] warns about on exit *)
+(** dirty plus never-committed objects the heap holds — what a commit
+    (or {!collect}) would consider writing; what [tmlsh] warns about on
+    exit.  Unloaded slots at or above the watermark (OIDs other sessions
+    allocated) do not count. *)
 
 val cached_clean_count : t -> int
 (** clean objects currently cached (the LRU population) *)

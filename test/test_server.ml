@@ -26,24 +26,23 @@ let temp_path suffix =
   path
 
 let config ?(max_clients = 64) ?(window = 0.05) ?(staged_cap = 16 * 1024 * 1024)
-    ?(stripe = 4096) ?(slow_ms = 0.) ?(slowlog_limit = 128) ~store ~sock () =
+    ?(slow_ms = 0.) ?(slowlog_limit = 128) ~store ~sock () =
   {
     (Server.default_config ~store_path:store ~addr:(Wire.Unix_path sock)) with
     Server.max_clients;
     commit_window = window;
     staged_cap;
     fsync = false;
-    stripe;
     slow_ms;
     slowlog_limit;
   }
 
-let with_server ?max_clients ?window ?staged_cap ?stripe ?slow_ms ?slowlog_limit f =
+let with_server ?max_clients ?window ?staged_cap ?slow_ms ?slowlog_limit f =
   let store = temp_path ".tmlstore" in
   let sock = temp_path ".sock" in
   let t =
     Server.start
-      (config ?max_clients ?window ?staged_cap ?stripe ?slow_ms ?slowlog_limit ~store ~sock ())
+      (config ?max_clients ?window ?staged_cap ?slow_ms ?slowlog_limit ~store ~sock ())
   in
   Fun.protect
     ~finally:(fun () ->
@@ -101,6 +100,49 @@ let test_snapshot_isolation () =
       check tint "reader now sees 3 rows" 3 (int_result (eval_ok reader "count(r)"));
       Client.close reader;
       Client.close writer)
+
+(* A session opened before another session's commit re-pins and then
+   scans the rows that commit sealed: every OID sealed at its new epoch
+   must be addressable from its heap, whoever allocated it. *)
+let test_repin_sees_later_session_rows () =
+  with_server (fun addr _t ->
+      let setup = Client.connect addr in
+      ignore (eval_ok setup "let r = relation(tuple(1, 10))");
+      ignore (commit_ok setup);
+      Client.close setup;
+      let s = Client.connect addr in
+      let t = Client.connect addr in
+      ignore (eval_ok t "do insert(r, tuple(2, 20)) end");
+      ignore (commit_ok t);
+      ignore (commit_ok s);
+      check tint "the re-pinned session scans the later session's row" 1
+        (int_result (eval_ok s "count(select x from x in r where x.2 == 20 end)"));
+      Client.close s;
+      Client.close t)
+
+(* "- : <oid 0x000031> (in 6 instructions)" -> 0x31 *)
+let oid_result out =
+  try Scanf.sscanf out "- : <oid 0x%x>" (fun v -> v) with
+  | Scanf.Scan_failure _ | Failure _ | End_of_file ->
+    Alcotest.failf "expected an OID result, got %S" out
+
+(* Sessions allocate from one OID space: opening a session costs a few
+   OIDs, not a reserved range, however many sessions came before. *)
+let test_oids_grow_with_allocation () =
+  with_server (fun addr _t ->
+      let n = 64 in
+      let oids =
+        List.init n (fun _ ->
+            let c = Client.connect addr in
+            let oid = oid_result (eval_ok c "tuple(1, 2)") in
+            Client.close c;
+            oid)
+      in
+      let first = List.hd oids and last = List.nth oids (n - 1) in
+      check tbool
+        (Printf.sprintf "last OID %d within %d sessions x 16 of the first %d" last n first)
+        true
+        (last < first + (n * 16)))
 
 (* --- group commit --------------------------------------------------- *)
 
@@ -513,6 +555,10 @@ let () =
           Alcotest.test_case "snapshot isolation across epochs" `Quick test_snapshot_isolation;
           Alcotest.test_case "first committer wins" `Quick test_first_committer_wins;
           Alcotest.test_case "conflict within one group" `Quick test_conflict_within_one_group;
+          Alcotest.test_case "re-pinned session sees a later session's rows" `Quick
+            test_repin_sees_later_session_rows;
+          Alcotest.test_case "OIDs grow with allocation, not sessions" `Quick
+            test_oids_grow_with_allocation;
         ] );
       ( "group-commit",
         [

@@ -355,6 +355,38 @@ let test_pstore_crash_recovery () =
       | _ -> Alcotest.fail "did not recover the sealed state");
       Pstore.close ps)
 
+(* Sessions over one shared log: another writer seals an OID above this
+   session's watermark, the session re-pins at that epoch and its heap
+   grows past the OID (as a server's shared allocation cursor grows it).
+   Reading the object must not make it part of this session's batch. *)
+let test_snapshot_repin_raises_watermark () =
+  with_store (fun path ->
+      let tuple i = Value.Tuple [| Value.Int i; Value.Int (10 * i) |] in
+      let log = Ls.create ~fsync:false path in
+      Ls.put log 0 (Obj_codec.encode_obj (tuple 0));
+      ignore (Ls.commit log);
+      let ps = Pstore.open_snapshot log ~alloc_base:1 in
+      let heap = Pstore.heap ps in
+      (* another session allocated OIDs 1..7 and sealed 5 *)
+      Ls.put log 5 (Obj_codec.encode_obj (tuple 5));
+      ignore (Ls.commit log);
+      Pstore.mark_committed ps (Ls.pin log);
+      Value.Heap.reserve heap 8;
+      (match Value.Heap.get heap (Oid.of_int 5) with
+      | Value.Tuple [| Value.Int 5; Value.Int 50 |] -> ()
+      | _ -> Alcotest.fail "the other writer's object did not fault");
+      check tint "read-only object not staged" 0 (List.length (Pstore.collect ps));
+      check tint "nothing uncommitted" 0 (Pstore.uncommitted_count ps);
+      let mine = Value.Heap.alloc heap (tuple 8) in
+      check tbool "fresh OID past the grown heap" true (Oid.to_int mine = 8);
+      (* other sessions allocate 9..11: holes here, neither staged nor counted *)
+      Value.Heap.reserve heap 12;
+      check tbool "only the fresh object is staged" true
+        (List.map fst (Pstore.collect ps) = [ 8 ]);
+      check tint "one uncommitted" 1 (Pstore.uncommitted_count ps);
+      Pstore.close ps;
+      Ls.close log)
+
 let () =
   Runtime.install ();
   Tml_query.Qprims.install ();
@@ -379,5 +411,7 @@ let () =
             test_pstore_relation_refault;
           Alcotest.test_case "optimizer commits durably" `Quick test_optimize_commits_durably;
           Alcotest.test_case "crash recovery" `Quick test_pstore_crash_recovery;
+          Alcotest.test_case "re-pin raises the watermark" `Quick
+            test_snapshot_repin_raises_watermark;
         ] );
     ]
